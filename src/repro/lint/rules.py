@@ -11,7 +11,8 @@ id        name                     invariant
                                    a benchmark reference (or documented exemption),
                                    and a README row
 ``R3``    hot-path-purity          the vectorized replay/compile modules never import
-                                   the stepwise oracle classes
+                                   the stepwise oracle classes, and only replay.py
+                                   uses replay's private pass primitives
 ``R4``    dtype-contracts          hot-path numpy constructors pass explicit dtypes
                                    from the module's documented contract
 ``R5``    twin-fold-pinning        the scalar and vectorized XOR set-index folds both
@@ -105,6 +106,12 @@ _BANNED_NAMES = frozenset(
 )
 #: Module prefixes hot-path modules may not import from at all.
 _BANNED_MODULE_PREFIXES = ("repro.testing",)
+#: Replay's private pass primitives (rule R3): only replay.py may touch
+#: them, so a second copy of a kernel cannot grow elsewhere.
+_REPLAY_PRIVATE = frozenset(
+    {"_direct_hit_mask", "_opt_stack_pass", "_set_segments", "_scheme_of",
+     "_level_pass", "_level_mask"}
+)
 
 #: Service-path modules that must stay benchmarked (rule R2): if the module
 #: exists, some ``benchmarks/bench_*.py`` must reference the named symbol —
@@ -428,7 +435,7 @@ def rule_experiment_completeness(project: Project) -> Iterator[Violation]:
     "R3",
     "hot-path-purity",
     "vectorized replay/compile modules never import the stepwise "
-    "oracle classes",
+    "oracle classes; replay's private pass primitives stay in replay.py",
 )
 def rule_hot_path_purity(project: Project) -> Iterator[Violation]:
     # the two compile/replay kernels are mandatory; the service-path
@@ -471,6 +478,27 @@ def rule_hot_path_purity(project: Project) -> Iterator[Violation]:
                             f"oracles and test harnesses stay in "
                             f"tests/repro.testing",
                         )
+
+    # one kernel per policy: replay's pass primitives stay inside replay.py
+    for rel in sorted({f for pat in SRC_GLOBS for f in project.glob(pat)} - {REPLAY_PATH}):
+        try:
+            tree = project.tree(rel)
+        except (FileNotFoundError, SyntaxError):
+            continue
+        for node in ast.walk(tree):
+            names: List[str] = []
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            for name in names:
+                if name in _REPLAY_PRIVATE:
+                    yield Violation(
+                        rule="R3", path=rel, line=node.lineno,
+                        message=f"{name} is a private pass primitive of "
+                        f"{REPLAY_PATH}: replay through its registered "
+                        f"kernels instead of writing a second one",
+                    )
 
 
 # ---------------------------------------------------------------------------

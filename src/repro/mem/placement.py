@@ -320,9 +320,8 @@ def placement_cost(
     Exact, not an estimate: the remapped trace is bit-identical to what the
     compiler would produce for this placement (gaps included), and the
     replay kernels agree miss-for-miss with the stepwise simulators.
-    ``chunk_words`` scores through the streaming replay
-    (:mod:`repro.runtime.streaming`) in bounded-memory chunks — the same
-    count, by the streaming differential contract.
+    ``chunk_words`` replays the remapped trace in bounded-memory chunks —
+    the same count, by the streaming differential contract.
     """
     return _target_misses(
         remap_blocks(instance, order, gaps=gaps),
@@ -371,24 +370,22 @@ def _target_misses(
 ) -> List[int]:
     """Per-target miss counts of one remapped trace, sharing replay passes
     across targets of the same policy (the kernels memoize per organization).
-    ``chunk_words`` swaps the monolithic kernels for the streaming ones —
-    same counts, O(``chunk_words``) peak memory per pass."""
-    from repro.runtime.replay import replay_misses
+    ``chunk_words`` walks the trace in chunks of that size — same counts,
+    O(``chunk_words``) peak memory per pass."""
+    from repro.runtime.replay import ArrayChunkSource, _replay_stats
 
+    whole = max(1, len(blocks))
+    source = ArrayChunkSource(blocks, chunk_words=whole if chunk_words is None else chunk_words)
     by_policy: Dict[str, List[int]] = {}
     for i, (_geom, policy, _w) in enumerate(targets):
         by_policy.setdefault(policy, []).append(i)
     out: List[int] = [0] * len(targets)
     for policy, idxs in by_policy.items():
-        geoms = [targets[i][0] for i in idxs]
-        if chunk_words is not None:
-            from repro.runtime.streaming import ArrayChunkSource, stream_stats
-
-            source = ArrayChunkSource(blocks, chunk_words=chunk_words)
-            misses = [m for m, _counts in stream_stats(source, geoms, policy)]
-        else:
-            misses = replay_misses(blocks, geoms, policy=policy)
-        for i, m in zip(idxs, misses):
+        stats = _replay_stats(
+            source, [targets[i][0] for i in idxs], policy,
+            streamed=chunk_words is not None,
+        )
+        for i, (m, _counts) in zip(idxs, stats):
             out[i] = m
     return out
 
@@ -680,7 +677,7 @@ def swap_refine(
     an identical evaluation count, and the process pool buys pure
     wall-time.  ``batch=1`` (default) is the historical first-improvement
     loop, unchanged.  ``chunk_words`` scores candidates through the
-    streaming replay — the counts are bit-identical, so the trajectory
+    chunked replay — the counts are bit-identical, so the trajectory
     (and :class:`RefineStats`) is byte-for-byte the monolithic one at equal
     ``batch``; ``tests/test_streaming.py`` pins exactly that.
     """

@@ -78,6 +78,9 @@ BATCH_DEDUPED = "run_batch.deduped"
 BATCH_GROUPS = "run_batch.groups"
 #: items mapped across a backend by `fan_out` / `process_sweep`
 BACKEND_TASKS = "backend.tasks"
+#: process-pool replays that broke (dead worker, OS error, unpicklable
+#: task) and reran in-process with the identical answer
+BACKEND_FALLBACKS = "backend.fallbacks"
 #: candidate layouts scored by `swap_refine`
 PLACEMENT_EVALS = "placement.evals"
 #: improvement rounds taken by `swap_refine`

@@ -3,9 +3,9 @@ firing engine that moves tokens through the cache simulator, the trace
 compiler and the policy-aware replay kernels that answer whole geometry
 families in one pass, the execution backends (serial/thread/process fan-out
 with shared-memory trace shipping and the ``run_batch`` service front door),
-the persistent content-addressed trace cache, the out-of-core streaming
-engine (chunked trace compilation spilled to cache segments plus
-carry-over replay kernels, bit-identical to the monolithic path),
+the persistent content-addressed trace cache, out-of-core streaming
+compilation (chunked traces spilled to cache segments, replayed by the same
+carried-state kernels, bit-identical to the monolithic path),
 schedule representation/validation, and deadlock analysis."""
 
 from repro.runtime.backend import (
@@ -30,7 +30,6 @@ from repro.runtime.streaming import (
     ChunkedTrace,
     compile_trace_chunked,
     recency_carry,
-    simulate_stream,
     stream_masks,
     stream_stats,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "ChunkedTrace",
     "compile_trace_chunked",
     "recency_carry",
-    "simulate_stream",
     "stream_masks",
     "stream_stats",
     "replay_miss_masks",

@@ -322,30 +322,6 @@ def _attach_trace(shm_name: str, n: int, has_phases: bool) -> None:
     )
 
 
-def _chunk_stats(
-    blocks: np.ndarray,
-    phases: Optional[np.ndarray],
-    geometries: List,
-    policy: str,
-) -> List[Tuple[int, Optional[List[int]]]]:
-    """Per-geometry ``(misses, phase_bincount-or-None)`` of one chunk."""
-    from repro.runtime.compiled import PHASE_NAMES
-    from repro.runtime.replay import replay_miss_masks
-
-    out: List[Tuple[int, Optional[List[int]]]] = []
-    for mask in replay_miss_masks(blocks, geometries, policy=policy):
-        misses = int(np.count_nonzero(mask))
-        counts: Optional[List[int]] = None
-        if phases is not None:
-            counts = (
-                np.bincount(phases[mask], minlength=len(PHASE_NAMES)).tolist()
-                if misses
-                else [0] * len(PHASE_NAMES)
-            )
-        out.append((misses, counts))
-    return out
-
-
 def _sweep_chunk(
     task: Tuple[int, List, str, bool]
 ) -> Tuple[int, List, Optional[Dict]]:
@@ -358,15 +334,21 @@ def _sweep_chunk(
     metric/span delta rides back as the third element for the parent to
     merge — that is how spans aggregate across the process backend.
     """
+    from repro.runtime.replay import _mask_stats, replay_miss_masks
+
     chunk_index, geometries, policy, want_obs = task
     blocks = _WORKER_TRACE["blocks"]
     phases = _WORKER_TRACE["phases"]
+
+    def _stats() -> List[Tuple[int, Optional[List[int]]]]:
+        masks = replay_miss_masks(blocks, geometries, policy=policy)  # type: ignore[arg-type]
+        return _mask_stats(masks, phases)  # type: ignore[arg-type]
+
     if want_obs:
         with obs.capture(enabled=True) as cap:
-            out = _chunk_stats(blocks, phases, geometries, policy)  # type: ignore[arg-type]
+            out = _stats()
         return chunk_index, out, cap.snapshot
-    out = _chunk_stats(blocks, phases, geometries, policy)  # type: ignore[arg-type]
-    return chunk_index, out, None
+    return chunk_index, _stats(), None
 
 
 def _chunk_slices(n_items: int, width: int) -> List[Tuple[int, int]]:
@@ -403,7 +385,6 @@ def process_sweep(
         for i, (lo, hi) in enumerate(slices)
     ]
     obs.add(obs_names.BACKEND_TASKS, len(tasks))
-    obs.gauge(obs_names.BACKEND_WIDTH, min(workers, len(slices)))
     out: List[Optional[List]] = [None] * len(slices)
     snaps: List[Optional[Dict]] = [None] * len(slices)
     with obs.span(obs_names.BACKEND_MAP, backend="process"):
@@ -418,10 +399,13 @@ def process_sweep(
                     out[chunk_index] = stats
                     snaps[chunk_index] = snap
     # merge worker deltas in chunk order: the merged totals then equal
-    # what one serial call over the full geometry list would have recorded
+    # what one serial call over the full geometry list would have recorded;
+    # the pool width is gauged after the merge so the workers' own inner
+    # (serial) sizing decisions do not overwrite it
     for snap in snaps:
         if snap is not None:
             obs.merge(snap)
+    obs.gauge(obs_names.BACKEND_WIDTH, min(workers, len(slices)))
     flat: List[Tuple[int, Optional[List[int]]]] = []
     for stats in out:
         assert stats is not None
@@ -430,20 +414,20 @@ def process_sweep(
 
 
 def _stream_chunk_worker(
-    task: Tuple[int, str, np.ndarray, List, str, bool]
-) -> Tuple[int, List[Tuple[int, Optional[List[int]]]], Optional[Dict]]:
+    task: Tuple[str, np.ndarray, List, bool, bool]
+) -> Tuple[List[Tuple[int, Optional[List[int]]]], Optional[Dict]]:
     """Worker body: replay ONE trace chunk (all geometries) under its carry.
 
     The parent computed the chunk's recency carry (cheap, sequential) and
     ships it with the segment path; the worker loads the segment arrays
     straight off disk — the cache's documented one-``.npz``-per-key layout —
-    and returns reduced ``(misses, phase_bincount)`` per geometry, exactly
-    the per-chunk terms the sequential stream would have summed.
+    runs the lru/direct kernel's step on them, and returns reduced
+    ``(misses, phase_bincount)`` per geometry, exactly the per-chunk terms
+    the sequential kernel would have summed.
     """
-    from repro.runtime.compiled import PHASE_NAMES
-    from repro.runtime.streaming import _flat_chunk_masks
+    from repro.runtime.replay import _mask_stats, _recency_step
 
-    index, path, carry, geometries, policy, want_obs = task
+    path, carry, geometries, direct, want_obs = task
 
     def _stats() -> List[Tuple[int, Optional[List[int]]]]:
         with np.load(path, allow_pickle=False) as data:
@@ -453,22 +437,13 @@ def _stream_chunk_worker(
                 if "phases" in data.files
                 else None
             )
-        out: List[Tuple[int, Optional[List[int]]]] = []
-        for mask in _flat_chunk_masks(blocks, carry, geometries, policy):
-            misses = int(np.count_nonzero(mask))
-            counts: Optional[List[int]] = None
-            if phases is not None:
-                counts = np.bincount(
-                    phases[mask], minlength=len(PHASE_NAMES)
-                ).tolist()
-            out.append((misses, counts))
-        return out
+        return _mask_stats(_recency_step(blocks, carry, geometries, direct), phases)
 
     if want_obs:
         with obs.capture(enabled=True) as cap:
             stats = _stats()
-        return index, stats, cap.snapshot
-    return index, _stats(), None
+        return stats, cap.snapshot
+    return _stats(), None
 
 
 def process_chunk_sweep(
@@ -478,60 +453,46 @@ def process_chunk_sweep(
     workers: int,
 ) -> List[Tuple[int, Optional[List[int]]]]:
     """Per-geometry ``(misses, phase_bincount)`` by fanning *trace chunks*
-    (not geometries) over a process pool — the streaming twin of
+    (not geometries) over a process pool — the streaming counterpart of
     :func:`process_sweep` for a :class:`~repro.runtime.streaming.ChunkedTrace`.
 
     Chunk replays are independent once each chunk's recency carry is known,
     and the carries are cheap to compute (one vectorized fold per chunk), so
-    the parent walks the chunks once to build carries while workers do the
-    expensive distance passes.  Only lru/direct stream this way — OPT and
-    two-level carry kernel state *through* the chunks, which serializes
-    them.  Per-chunk stats are summed in chunk order, and worker obs deltas
-    merge in chunk order too, so totals are bit-identical to the sequential
-    stream.
+    the parent walks the chunks once to build carries while workers run
+    the expensive distance passes (the lru/direct kernel's step).  Only
+    lru/direct fan out this way — OPT and two-level carry kernel state
+    *through* the chunks, which serializes them.  Per-chunk stats are
+    summed in chunk order, and worker obs deltas merge in chunk order too,
+    so totals are bit-identical to the sequential kernel.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.runtime.streaming import ChunkedTrace, recency_carry
+    from repro.runtime.replay import _add_stats, _recency_carries, _recency_direct
+    from repro.runtime.streaming import ChunkedTrace
 
     assert isinstance(trace, ChunkedTrace)
     geoms = list(geometries)
+    direct = _recency_direct(geoms, policy)  # a bad geometry fails in the parent
     want_obs = obs.is_enabled()
-    tasks: List[Tuple[int, str, np.ndarray, List, str, bool]] = []
-    carry = np.zeros(0, dtype=np.int64)
-    for i in range(trace.n_chunks):
-        tasks.append(
-            (i, str(trace.segment_path(i)), carry, geoms, policy, want_obs)
-        )
-        blocks, _phases = trace.chunk(i)
-        carry = recency_carry(carry, blocks)
+    tasks = [
+        (str(trace.segment_path(i)), carry, geoms, direct, want_obs)
+        for i, (_blocks, _phases, carry) in enumerate(_recency_carries(trace))
+    ]
     width = min(workers, max(1, len(tasks)))
     obs.add(obs_names.BACKEND_TASKS, len(tasks))
-    obs.gauge(obs_names.BACKEND_WIDTH, width)
-    results: List[Optional[List[Tuple[int, Optional[List[int]]]]]] = [
-        None
-    ] * len(tasks)
-    snaps: List[Optional[Dict]] = [None] * len(tasks)
+    stats: List[Tuple[int, Optional[List[int]]]] = [(0, None)] * len(geoms)
     with obs.span(obs_names.BACKEND_MAP, backend="process"):
         with ProcessPoolExecutor(
             max_workers=width, mp_context=_mp_context()
         ) as pool:
-            for index, stats, snap in pool.map(_stream_chunk_worker, tasks):
-                results[index] = stats
-                snaps[index] = snap
-    for snap in snaps:
-        if snap is not None:
-            obs.merge(snap)
-    totals = [0] * len(geoms)
-    counts: List[Optional[List[int]]] = [None] * len(geoms)
-    for stats in results:
-        assert stats is not None
-        for gi, (m, c) in enumerate(stats):
-            totals[gi] += m
-            if c is not None:
-                prev = counts[gi]
-                counts[gi] = c if prev is None else [a + b for a, b in zip(prev, c)]
-    return list(zip(totals, counts))
+            # pool.map yields in chunk order: stats sum and worker deltas
+            # merge exactly as the sequential kernel would record them
+            for part, snap in pool.map(_stream_chunk_worker, tasks):
+                stats = _add_stats(stats, part)
+                if snap is not None:
+                    obs.merge(snap)
+    obs.gauge(obs_names.BACKEND_WIDTH, width)
+    return stats
 
 
 # ----------------------------------------------------------------------
@@ -834,9 +795,9 @@ def run_batch(
     3. Evaluation fans out over ``backend``; answers return in query order,
        each tagged with its digest, cache-hit, and intra-batch dedup flags.
 
-    ``chunk_words`` streams every replay in bounded-memory chunks
-    (:mod:`repro.runtime.streaming`) — bit-identical answers; a query's own
-    ``chunk_words`` overrides the batch-wide value.
+    ``chunk_words`` replays every trace in bounded-memory chunks
+    (:func:`~repro.runtime.compiled.simulate_trace`) — bit-identical
+    answers; a query's own ``chunk_words`` overrides the batch-wide value.
     """
     from repro.runtime.compiled import simulate_trace
     from repro.runtime.trace_cache import cached_compile_trace, trace_digest

@@ -270,7 +270,7 @@ class TraceCompiler:
         exactly ``chunk_words`` accesses except the last, which carries the
         remainder (an empty schedule yields no chunks).  Concatenating the
         chunks in order reproduces :meth:`compile`'s arrays bit for bit —
-        the contract the streaming engine (:mod:`repro.runtime.streaming`)
+        the contract chunked compilation (:mod:`repro.runtime.streaming`)
         is differentially pinned on.  Peak memory while chunking is bounded
         by ``chunk_words`` plus one firing's touches, never the trace
         length.
@@ -559,7 +559,9 @@ def compile_trace(
 
 
 def _result_from_stats(
-    trace: CompiledTrace, misses: int, phase_counts: Optional[List[int]]
+    trace: Union[CompiledTrace, "ChunkedTrace"],
+    misses: int,
+    phase_counts: Optional[List[int]],
 ) -> ExecutionResult:
     """Assemble one :class:`ExecutionResult` from reduced replay statistics
     (what the process backend ships back instead of per-access masks)."""
@@ -617,14 +619,30 @@ def simulate_trace(
     preserving the historical ``workers=``-threads behaviour.
 
     ``trace`` may also be a :class:`~repro.runtime.streaming.ChunkedTrace`
-    (out-of-core compilation), replayed chunk by chunk with carried kernel
-    state; or pass ``chunk_words=`` with an in-memory trace to replay it in
-    bounded-size chunks.  Either way the results are bit-identical to the
-    monolithic replay (the differential contract of
-    ``tests/test_streaming.py``); ``chunk_words=None`` follows the
-    configured process-wide default
+    (out-of-core compilation), or pass ``chunk_words=`` with an in-memory
+    trace to replay it in bounded-size chunks.  Either way the policy's one
+    carried-state kernel walks the chunks — a whole in-memory trace is its
+    one-chunk case — so the results are bit-identical (the differential
+    contract of ``tests/test_streaming.py``); ``chunk_words=None`` follows
+    the configured process-wide default
     (:func:`repro.runtime.backend.configure`, the CLI's ``--chunk-words``).
+    On the process backend a whole in-memory trace fans its geometries out
+    (:func:`~repro.runtime.backend.process_sweep`) and a
+    :class:`~repro.runtime.streaming.ChunkedTrace` under lru/direct fans
+    its chunks out (:func:`~repro.runtime.backend.process_chunk_sweep`); a
+    pool that breaks (dead worker, OS error, unpicklable task) reruns the
+    replay in-process, counted under ``backend.fallbacks``.
     """
+    from repro.cache.policy import get_policy
+    from repro.runtime.backend import (
+        default_chunk_words,
+        process_chunk_sweep,
+        process_sweep,
+        resolve,
+    )
+    from repro.runtime.replay import ArrayChunkSource, ChunkSource, _replay_stats
+    from repro.runtime.streaming import ChunkedTrace
+
     geometries = list(geometries)
     for geom in geometries:
         if geom.block != trace.block:
@@ -632,55 +650,44 @@ def simulate_trace(
                 f"geometry block {geom.block} does not match trace block "
                 f"{trace.block}; recompile the trace for this block size"
             )
-    from repro.runtime.streaming import ChunkedTrace, simulate_stream
-
-    if isinstance(trace, ChunkedTrace):
-        return simulate_stream(
-            trace, geometries, policy=policy, workers=workers,
-            backend=backend, chunk_words=chunk_words,
-        )
+    get_policy(policy)  # fail on unknown names here, not in a worker
     if chunk_words is None:
-        from repro.runtime.backend import default_chunk_words
-
         chunk_words = default_chunk_words()
-    if chunk_words is not None:
-        return simulate_stream(
-            trace, geometries, policy=policy, workers=workers,
-            backend=backend, chunk_words=chunk_words,
+    source: ChunkSource
+    if isinstance(trace, ChunkedTrace):
+        source = trace
+    else:
+        whole = max(1, trace.accesses)
+        source = ArrayChunkSource(
+            trace.blocks, trace.phases,
+            chunk_words=whole if chunk_words is None else chunk_words,
         )
-    from repro.runtime.backend import process_sweep, resolve
-
-    name, width = resolve(backend, workers, len(geometries))
-    if name == "process" and geometries and trace.accesses:
-        from repro.cache.policy import get_policy
-
-        get_policy(policy)  # fail on unknown names here, not in a worker
-        stats = process_sweep(
-            trace.blocks, trace.phases, geometries, policy, width
-        )
-        # parent-side so the tally matches serial runs exactly (workers
-        # ship their own replay counters back; misses are counted here)
-        obs.add(obs_names.REPLAY_MISSES, sum(m for m, _counts in stats))
-        return [_result_from_stats(trace, m, counts) for m, counts in stats]
-    from repro.runtime.replay import replay_miss_masks
-
-    masks = replay_miss_masks(
-        trace.blocks, geometries, policy=policy,
-        workers=width if name == "thread" else None,
+    streamed = isinstance(trace, ChunkedTrace) or chunk_words is not None
+    fan_chunks = isinstance(trace, ChunkedTrace) and policy in ("lru", "direct")
+    name, width = resolve(
+        backend, workers, source.n_chunks if fan_chunks else len(geometries)
     )
-    results: List[ExecutionResult] = []
-    total_misses = 0
-    for geom, miss_mask in zip(geometries, masks):
-        misses = int(np.count_nonzero(miss_mask))
-        total_misses += misses
-        counts: Optional[List[int]] = None
-        if trace.phases is not None:
-            counts = np.bincount(
-                trace.phases[miss_mask], minlength=len(PHASE_NAMES)
-            ).tolist()
-        results.append(_result_from_stats(trace, misses, counts))
-    obs.add(obs_names.REPLAY_MISSES, total_misses)
-    return results
+    stats: Optional[List[Tuple[int, Optional[List[int]]]]] = None
+    if name == "process" and geometries and source.accesses and (fan_chunks or not streamed):
+        import pickle
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            if isinstance(trace, ChunkedTrace):
+                stats = process_chunk_sweep(trace, geometries, policy, width)
+            else:
+                stats = process_sweep(trace.blocks, trace.phases, geometries, policy, width)
+        except (BrokenProcessPool, OSError, pickle.PicklingError):
+            obs.add(obs_names.BACKEND_FALLBACKS)
+    if stats is None:
+        stats = _replay_stats(
+            source, geometries, policy,
+            workers=width if name == "thread" else None, streamed=streamed,
+        )
+    # counted parent-side, so process runs tally exactly like serial ones
+    # (workers ship their replay counters back, never their misses)
+    obs.add(obs_names.REPLAY_MISSES, sum(m for m, _counts in stats))
+    return [_result_from_stats(trace, m, counts) for m, counts in stats]
 
 
 def measure_compiled(

@@ -1,80 +1,79 @@
-"""Policy-aware vectorized replay: one compiled trace, every geometry, five
-replacement models.
+"""Policy-aware vectorized replay: one carried-state kernel per policy.
 
 :mod:`repro.runtime.compiled` lowers a schedule to its cache-size-independent
 block trace; this module answers *whole geometry sweeps* over that trace for
-each registered replacement policy (:mod:`repro.cache.policy`) without ever
-simulating block-by-block:
+each registered replacement policy (:mod:`repro.cache.policy`) without
+simulating block by block.  Each policy has exactly one kernel in the
+:func:`register_replay_kernel` registry.  A kernel walks a
+:class:`ChunkSource` — one trace viewed as an ordered sequence of chunks —
+and yields each chunk's per-geometry miss masks, carrying to the next chunk
+exactly the state it needs.  A monolithic replay (:func:`replay_miss_masks`)
+is the same kernel over a one-chunk source; a chunk-cut in-memory trace or
+an out-of-core :class:`~repro.runtime.streaming.ChunkedTrace` runs it over
+many chunks.  Carries are folded only when another chunk follows, so the
+one-chunk case does no streaming work.
 
-* **Fully-associative LRU** — the classic Mattson pass: one vectorized
-  stack-distance computation (:func:`repro.analysis.misscurve.stack_distances_array`)
-  answers every cache size, because LRU is a stack algorithm.
-* **Set-associative LRU** — LRU inside a set never sees other sets' blocks,
-  so the trace is partitioned by set index (one stable argsort) and the same
-  Mattson pass runs per set: an access hits a ``w``-way cache iff its
-  *within-set* stack distance is at most ``w``.  One partition is shared by
-  every geometry with the same set count.
-* **Direct-mapped** — a degenerate per-set scan: an access hits iff the
-  previous access to the same frame (``block % n_frames``) touched the same
-  block, which one grouped argsort answers for the whole trace at once.
-* **OPT (Belady)** — MIN is also a stack algorithm (Mattson 1970) under the
-  priority "sooner next use wins".  Next-use positions are precomputed with
-  the reversed argsort trick (:func:`repro.cache.opt.next_occurrences`), and
-  a single priority-stack pass — truncated at the largest capacity in the
-  sweep — yields per-access OPT stack distances, hence the miss count of
-  *every* swept capacity in one traversal instead of one heap simulation per
-  geometry.
-* **Two-level hierarchy** — a sweep point is a
-  :class:`~repro.cache.hierarchy.TwoLevelGeometry` (an (L1, L2) pair; each
-  level any LRU organization, ``ways=1`` making it direct-mapped).  L2 is
-  consulted only on L1 misses, so the L2 contents evolve exactly as an LRU
-  fed the *miss sub-trace* of L1: one L1 pass (stack distances, or the
-  per-frame scan when L1 is direct-mapped) selects the sub-trace, a second
-  pass over it answers every L2 organization sharing that L1, and the L2
-  verdicts are scattered back to trace positions.  One L1 pass therefore
-  amortizes over a whole L2 capacity grid; ``workers`` fans out over
-  distinct L1 geometries.
+* **lru / direct** carry one recency list (:func:`recency_carry`): every
+  distinct block seen so far, LRU first.  Prepended to a chunk, it makes
+  the ordinary passes reproduce the full-trace answer — set-local recency
+  is the restriction of global recency, and the last carried block of a
+  frame is that frame's content.  The passes: Mattson stack distances
+  (fully associative, one pass answers every size), the same pass over the
+  set-grouped trace (set-associative: a ``w``-way access hits iff its
+  within-set distance is at most ``w``), and a per-frame last-block scan
+  (direct-mapped).  One memoized level helper (:func:`_level_mask`) runs
+  each pass once per organization for lru, direct and both hierarchy
+  levels.
+* **opt** (Belady's MIN, a stack algorithm under "sooner next use wins") —
+  a reverse pass computes absolute next-use positions (spilling chunks
+  after the first to a temporary ``.npy``), then a forward priority-stack
+  pass (:func:`_opt_stack_pass`), truncated at the largest swept capacity,
+  resumes from a carried stack per set and answers every capacity at once.
+* **two_level** — L2 is consulted only on L1 misses, so it evolves as an
+  LRU fed the L1 *miss sub-trace*: one L1 pass per distinct L1 selects the
+  sub-trace, an L2 pass over it answers every L2 sharing that L1, and the
+  verdicts scatter back.  L1 carries the recency list, each L1 group's L2
+  its own list over the group's sub-trace.
 
-Every kernel returns per-access boolean miss masks, so phase attribution
-works identically to the stepwise executor for all policies.  The stepwise
-models (:class:`~repro.cache.lru.LRUCache`,
-:class:`~repro.cache.direct.DirectMappedCache`,
-:func:`~repro.cache.opt.simulate_opt`,
-:class:`~repro.cache.hierarchy.TwoLevelCache`) remain the differential-test
-oracles; ``tests/test_replay.py`` and ``tests/test_hierarchy_replay.py``
-assert exact miss-for-miss agreement on random traces and geometries.
-
-Set indexing is scheme-aware: every kernel hashes block ids to conflict
-classes through the geometry's ``index_scheme`` (``"mod"`` low bits or
-``"xor"`` folded tag bits — :func:`set_index_array`), and shared passes are
-memoized per (class count, scheme) pair, so a sweep mixing mod- and
-xor-indexed organizations still computes each pass once.  Because a block's
-class is a pure function of its id under either scheme, the set-grouped
-reordering argument (and therefore every kernel) carries over unchanged.
+Per-access masks keep phase attribution identical to the stepwise
+executor; the stepwise models are the oracles ``tests/test_replay.py``,
+``tests/test_hierarchy_replay.py`` and ``tests/test_streaming.py`` diff
+against per access, at every chunking.  Set indexing hashes block ids
+through each geometry's ``index_scheme`` (:func:`set_index_array`) and
+shared passes are memoized per (class count, scheme).  ``workers`` threads
+the per-geometry masks (per L1 group for ``two_level``) through
+:func:`repro.runtime.backend.fan_out` after the shared passes.
 
 Array dtype contract (statically enforced by lint rule R4, see
-``docs/STATIC_ANALYSIS.md``): block ids and stack distances are ``int64``,
-per-access miss masks are ``bool``, and grouping keys may narrow to
-``int16`` for the radix-sort fast path — nothing else, and always with an
-explicit ``dtype=``.
-
-The kernels see nothing but a flat ``int64`` block array: traces compiled
-by :mod:`repro.runtime.compiled` under any ``placement=`` object order
-(:mod:`repro.mem.placement`) — including block-remapped candidate layouts
-from :func:`repro.mem.placement.remap_blocks` — replay identically, which
-is what lets the placement optimizer score thousands of layouts without
-recompiling.
-
-``workers`` fans the per-geometry mask evaluation out over a thread pool
-*after* the shared distance passes (numpy releases the GIL inside the heavy
-ufuncs); the shared passes themselves are computed once per distinct set
-count, never per geometry.  See ``docs/REPLAY.md`` for the per-policy
-algorithms, their complexity, and the oracle contract.
+``docs/STATIC_ANALYSIS.md``): block ids, stack distances and positions are
+``int64``, miss masks are ``bool`` (phase codes pass through as the
+compiler's ``uint8``), and grouping keys may narrow to ``int16`` for the
+radix-sort fast path — always with an explicit ``dtype=``.  Algorithms and
+the oracle contract: ``docs/REPLAY.md``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import tempfile
+from contextlib import nullcontext
+from functools import partial
+from itertools import accumulate
+from pathlib import Path
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -86,35 +85,117 @@ from repro.cache.policy import get_policy
 from repro.errors import CacheConfigError
 from repro.obs import core as obs
 from repro.obs import names as obs_names
+from repro.runtime.backend import fan_out
+from repro.runtime.compiled import PHASE_NAMES
 
 __all__ = [
+    "ChunkSource",
+    "ArrayChunkSource",
+    "recency_carry",
     "set_index_array",
     "per_set_stack_distances",
     "opt_stack_distances",
     "hierarchy_level_masks",
     "replay_miss_masks",
     "replay_misses",
+    "stream_masks",
+    "stream_stats",
     "register_replay_kernel",
     "available_replay_policies",
 ]
 
+#: Reduced replay statistics: per geometry, (misses, phase bincount or None).
+StreamStats = List[Tuple[int, Optional[List[int]]]]
+#: One chunk's replay: (the chunk's phase codes or None, per-geometry masks).
+ChunkMasks = Tuple[Optional[np.ndarray], List[np.ndarray]]
+#: ``kernel(source, geometries, workers)``: one :data:`ChunkMasks` per chunk.
+Kernel = Callable[["ChunkSource", Sequence[Any], Optional[int]], Iterator[ChunkMasks]]
+#: Pass memo of one chunk, keyed by organization (kind, classes, scheme).
+_Memo = Dict[Tuple[str, int, str], np.ndarray]
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
 
 # ----------------------------------------------------------------------
-# shared distance passes
+# chunk sources
 # ----------------------------------------------------------------------
-def set_index_array(
-    blocks: np.ndarray, sets: int, scheme: str = "mod"
-) -> np.ndarray:
+class ChunkSource(Protocol):
+    """Anything a replay kernel can walk: one block trace as an ordered,
+    randomly addressable sequence of chunks (OPT walks them backwards)."""
+
+    @property
+    def accesses(self) -> int: ...
+
+    @property
+    def n_chunks(self) -> int: ...
+
+    def chunk(self, index: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(blocks, phases-or-None)`` arrays of chunk ``index``."""
+        ...
+
+
+class ArrayChunkSource:
+    """An in-memory trace viewed through a chunk partition: exactly one of
+    ``chunk_words`` (fixed-size chunks, the last one smaller) and ``sizes``
+    (an explicit partition, as the hypothesis ``chunking_strategy`` draws)
+    must be given.  Chunks are views, so the source costs no memory."""
+
+    def __init__(
+        self,
+        blocks: np.ndarray,
+        phases: Optional[np.ndarray] = None,
+        chunk_words: Optional[int] = None,
+        sizes: Optional[Sequence[int]] = None,
+    ) -> None:
+        self.blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+        self.phases = phases  # the compiled trace's uint8 codes, as given
+        n = int(self.blocks.shape[0])
+        if phases is not None and int(phases.shape[0]) != n:
+            raise CacheConfigError(
+                f"phases length {int(phases.shape[0])} does not match blocks length {n}"
+            )
+        if (chunk_words is None) == (sizes is None):
+            raise CacheConfigError(
+                "pass exactly one of chunk_words= and sizes= to ArrayChunkSource"
+            )
+        if chunk_words is not None:
+            if chunk_words < 1:
+                raise CacheConfigError(f"chunk_words must be >= 1, got {chunk_words}")
+            sizes = [min(int(chunk_words), n - lo) for lo in range(0, n, int(chunk_words))]
+        assert sizes is not None
+        for s in sizes:
+            if s < 1:
+                raise CacheConfigError(f"chunk sizes must be >= 1, got {s}")
+        self._starts = [0, *accumulate(int(s) for s in sizes)]
+        if self._starts[-1] != n:
+            raise CacheConfigError(
+                f"chunk sizes sum to {self._starts[-1]}, but the trace has {n} accesses"
+            )
+
+    @property
+    def accesses(self) -> int:
+        return int(self.blocks.shape[0])
+
+    @property
+    def n_chunks(self) -> int:
+        return len(self._starts) - 1
+
+    def chunk(self, index: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        lo, hi = self._starts[index], self._starts[index + 1]
+        return self.blocks[lo:hi], None if self.phases is None else self.phases[lo:hi]
+
+
+# ----------------------------------------------------------------------
+# shared passes
+# ----------------------------------------------------------------------
+def set_index_array(blocks: np.ndarray, sets: int, scheme: str = "mod") -> np.ndarray:
     """Vectorized set index of every block id under ``scheme``.
 
     ``"mod"`` is ``blocks % sets``; ``"xor"`` XOR-folds every tag chunk
-    into the low index bits (``sets`` must be a power of two — geometry
-    validation guarantees it).  This is the vectorized twin of
-    :meth:`repro.cache.base.CacheGeometry.set_of`: a distinct codepath the
-    differential suite diffs against the scalar fold, but both read their
-    fold constants from :mod:`repro.cache.indexing`
-    (:func:`~repro.cache.indexing.xor_fold_index_array`) so the twins
-    cannot drift in what they fold over.
+    into the low index bits (``sets`` is a power of two — geometry
+    validation guarantees it).  The vectorized twin of
+    :meth:`repro.cache.base.CacheGeometry.set_of`: both read their fold
+    constants from :mod:`repro.cache.indexing`, so they cannot drift.
     """
     if sets <= 1:
         return np.zeros(blocks.shape[0], dtype=np.int64)
@@ -126,19 +207,15 @@ def set_index_array(
 
 
 def _scheme_of(geom: CacheGeometry, classes: int) -> str:
-    """The scheme a pass over ``classes`` conflict classes must hash with
-    (normalized to ``"mod"`` when there is a single class, so geometries
-    differing only in an irrelevant scheme share one pass)."""
+    """The scheme a pass over ``classes`` conflict classes hashes with
+    (``"mod"`` for a single class, so an irrelevant scheme shares a pass)."""
     return "mod" if classes <= 1 else geom.index_scheme
 
 
 def _stable_group_order(key: np.ndarray, n_groups: int) -> np.ndarray:
-    """Stable argsort of a small-range grouping key.
-
-    Set/frame indices are bounded by the organization (< 2^15 in any
-    realistic sweep), and numpy's stable sort switches to O(n) radix for
-    16-bit integers — several times faster than the int64 timsort path.
-    """
+    """Stable argsort of a small-range grouping key: set/frame indices fit
+    16 bits in any realistic sweep, where numpy's stable sort is O(n) radix
+    — several times faster than the int64 timsort path."""
     if n_groups <= np.iinfo(np.int16).max:
         key = key.astype(np.int16)
     return np.argsort(key, kind="stable")
@@ -146,13 +223,16 @@ def _stable_group_order(key: np.ndarray, n_groups: int) -> np.ndarray:
 
 def _set_segments(
     blocks: np.ndarray, sets: int, scheme: str = "mod"
-) -> List[np.ndarray]:
-    """Trace positions grouped by set index, each group time-ordered."""
+) -> List[Tuple[int, Union[slice, np.ndarray]]]:
+    """``(set id, trace positions)`` of every non-empty set, each group
+    time-ordered; one group holding the whole trace when ``sets <= 1``."""
+    if sets <= 1 or blocks.shape[0] == 0:
+        return [(0, slice(None))]
     set_idx = set_index_array(blocks, sets, scheme)
     order = _stable_group_order(set_idx, sets)
     ss = set_idx[order]
     bounds = np.flatnonzero(ss[1:] != ss[:-1]) + 1
-    return np.split(order, bounds)
+    return list(zip(np.append(ss[:1], ss[bounds]).tolist(), np.split(order, bounds)))
 
 
 def per_set_stack_distances(
@@ -162,74 +242,191 @@ def per_set_stack_distances(
 
     ``sets=1`` is the fully-associative Mattson pass.  An access hits a
     ``sets``-set, ``w``-way LRU cache iff its distance here is in ``[1, w]``.
-
-    The multi-set case needs no per-set loop: a block id determines its set
-    (under either index ``scheme`` — mod or xor folding), so distinct sets
-    touch disjoint block ids, and on the *set-grouped* reordering of the
-    trace (each set's subsequence contiguous, time-ordered) every reuse
-    window stays inside one set's span.  One global stack-distance pass
-    over that reordering therefore computes every set's distances at once;
-    scattering back through the grouping permutation restores trace order.
+    No per-set loop is needed: a block id determines its set, so on the
+    *set-grouped* reordering of the trace (each set's subsequence
+    contiguous and time-ordered) every reuse window stays inside one set's
+    span, and one global pass computes every set's distances at once.
     """
     from repro.analysis.misscurve import stack_distances_array
 
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
     if sets <= 1 or blocks.shape[0] == 0:
         return stack_distances_array(blocks)
-    set_idx = set_index_array(blocks, sets, scheme)
-    order = _stable_group_order(set_idx, sets)
+    order = _stable_group_order(set_index_array(blocks, sets, scheme), sets)
     d = np.empty(blocks.shape[0], dtype=np.int64)
     d[order] = stack_distances_array(blocks[order])
     return d
 
 
-_OptState = Tuple[List[int], List[int], Set[int]]
+def _direct_hit_mask(blocks: np.ndarray, frames: int, scheme: str = "mod") -> np.ndarray:
+    """Per-access hit mask of a direct-mapped cache with ``frames`` frames:
+    group accesses by frame (stable, so time-ordered) and hit iff the
+    previous access to the same frame touched the same block."""
+    n = blocks.shape[0]
+    hit_mask = np.zeros(n, dtype=bool)
+    if n == 0:
+        return hit_mask
+    key = set_index_array(blocks, frames, scheme)
+    order = _stable_group_order(key, frames)
+    sk, sb = key[order], blocks[order]
+    same = (sk[1:] == sk[:-1]) & (sb[1:] == sb[:-1])
+    hit_mask[order[1:][same]] = True
+    return hit_mask
+
+
+def _distance_mask(d: np.ndarray, capacity: int) -> np.ndarray:
+    """Miss mask from stack distances: cold (0) or deeper than ``capacity``."""
+    return (d == 0) | (d > capacity)
+
+
+# ----------------------------------------------------------------------
+# lru / direct: the recency carry and the one level helper
+# ----------------------------------------------------------------------
+def recency_carry(carry: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Fold a chunk into the recency carry: every distinct block seen so
+    far, ordered by last access, LRU first.  Prepended to the next chunk it
+    makes the within-chunk stack distances (and per-frame last blocks) come
+    out as if the whole prefix had been replayed.  Folding is associative
+    with concatenation — ``recency_carry(recency_carry(c, a), b) ==
+    recency_carry(c, concat(a, b))``, a property ``tests/test_streaming.py``
+    pins."""
+    carry = np.ascontiguousarray(carry, dtype=np.int64)
+    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    if blocks.shape[0] == 0:
+        return carry
+    n = int(blocks.shape[0])
+    uniq, idx = np.unique(blocks[::-1], return_index=True)
+    last = n - 1 - idx  # position of each distinct block's final access
+    tail = uniq[np.argsort(last, kind="stable")]
+    if carry.shape[0]:
+        carry = carry[~np.isin(carry, uniq)]
+    return np.concatenate([carry, tail])
+
+
+def _level_pass(
+    blocks: np.ndarray, carry: np.ndarray, geom: CacheGeometry, direct: bool, memo: _Memo
+) -> np.ndarray:
+    """One organization's pass over a chunk under its recency ``carry`` —
+    the per-frame hit mask (``direct``) or the per-set stack distances —
+    memoized so every geometry sharing the organization reuses it."""
+    classes = geom.n_blocks if direct else geom.sets
+    key = ("direct" if direct else "lru", classes, _scheme_of(geom, classes))
+    found = memo.get(key)
+    if found is None:
+        k = int(carry.shape[0])
+        synth = np.concatenate([carry, blocks]) if k else blocks
+        run = _direct_hit_mask if direct else per_set_stack_distances
+        found = memo[key] = run(synth, classes, key[2])[k:]
+    return found
+
+
+def _level_mask(
+    blocks: np.ndarray, carry: np.ndarray, geom: CacheGeometry, direct: bool, memo: _Memo
+) -> np.ndarray:
+    """Miss mask of one single-level organization over a chunk: the level
+    helper lru, direct and both hierarchy levels share."""
+    found = _level_pass(blocks, carry, geom, direct, memo)
+    return ~found if direct else _distance_mask(found, geom.associativity)
+
+
+def _recency_direct(geometries: Sequence[CacheGeometry], policy: str) -> bool:
+    """Whether ``policy``'s geometries take the per-frame scan (direct)
+    rather than stack distances (lru, where a 1-way geometry shares its set
+    count's pass).  Validates before the first chunk."""
+    if policy != "direct":
+        return False
+    for geom in geometries:
+        if geom.ways not in (None, 1):
+            raise CacheConfigError(
+                f"direct-mapped replay needs ways=1 (or an unspecified "
+                f"associativity), got ways={geom.ways}"
+            )
+    return True
+
+
+def _recency_carries(
+    source: ChunkSource,
+) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]]:
+    """``(blocks, phases, carry of every earlier chunk)`` per chunk; a
+    chunk is folded only when another one follows."""
+    carry = _EMPTY
+    for index in range(source.n_chunks):
+        blocks, phases = source.chunk(index)
+        yield blocks, phases, carry
+        if index + 1 < source.n_chunks:
+            carry = recency_carry(carry, blocks)
+
+
+def _recency_step(
+    blocks: np.ndarray,
+    carry: np.ndarray,
+    geometries: Sequence[CacheGeometry],
+    direct: bool,
+    workers: Optional[int] = None,
+) -> List[np.ndarray]:
+    """Per-geometry miss masks of one lru/direct chunk under ``carry`` —
+    also what the process backend's chunk workers run."""
+    memo: _Memo = {}
+    for geom in geometries:  # shared passes, once per organization
+        _level_pass(blocks, carry, geom, direct, memo)
+    return fan_out(
+        lambda geom: _level_mask(blocks, carry, geom, direct, memo),
+        list(geometries), backend="thread", workers=workers,
+    )
+
+
+def _recency_kernel(
+    source: ChunkSource, geometries: Sequence[CacheGeometry], workers: Optional[int],
+    policy: str,
+) -> Iterator[ChunkMasks]:
+    """The lru and direct kernel: the recency carry plus the level passes."""
+    direct = _recency_direct(geometries, policy)
+    for blocks, phases, carry in _recency_carries(source):
+        yield phases, _recency_step(blocks, carry, geometries, direct, workers)
+
+
+# ----------------------------------------------------------------------
+# opt: reverse next-use pass, forward carried priority stack
+# ----------------------------------------------------------------------
+#: (stack block ids, stack priorities, resident set, accesses seen so far)
+_OptState = Tuple[List[int], List[int], Set[int], int]
 
 
 def _opt_stack_pass(
     blocks: List[int],
     next_use: List[int],
     max_depth: int,
-    total: Optional[int] = None,
-    positions: Optional[List[int]] = None,
+    total: int,
     state: Optional[_OptState] = None,
 ) -> Tuple[List[int], _OptState]:
     """Priority-stack OPT stack distances for one access sequence.
 
     MIN's priority list at time ``t`` orders blocks by next use after ``t``;
     every stored priority is that block's next use after its *last* access,
-    which is always in the future of ``t`` (the access at that position
-    would have refreshed it), so one forward pass with Mattson's percolation
-    is exact.  Blocks never referenced again get unique sentinel priorities
-    past the end of the trace (their relative eviction order cannot change
-    any miss count).  The stack is truncated at ``max_depth``: percolation
-    only ever moves entries *down*, so the top ``max_depth`` entries — and
-    therefore every distance we report — are unaffected by the cut.
-
-    Streaming extension: ``state`` resumes the pass with a prior call's
-    returned ``(stack_b, stack_p, resident)``, ``total`` is the full-trace
-    length that marks never-again priorities, and ``positions`` maps local
-    indices to absolute trace positions so sentinels stay unique and
-    monotone across chunks.  Sentinel values only need to exceed every real
-    next-use and grow with time, so ``total + absolute_position`` induces
-    exactly the eviction order of the monolithic ``n + i`` sentinels.
+    which is always in the future of ``t``, so one forward pass with
+    Mattson's percolation is exact.  The stack is truncated at
+    ``max_depth``: percolation only moves entries *down*, so the cut cannot
+    disturb any reported distance.  ``next_use >= total`` means "never
+    again"; such a block gets the sentinel ``total + seen`` (``seen``
+    counting this sequence's accesses across every call resumed through
+    ``state``) — sentinels only need to exceed every real next use and
+    grow with time, so their order cannot change any miss count.
     """
     n = len(blocks)
-    if total is None:
-        total = n
     out = [0] * n
     if state is None:
         stack_b: List[int] = []  # block ids, top (most valuable) first
         stack_p: List[int] = []  # priorities: next-use position, smaller = sooner
         resident: Set[int] = set()
+        seen = 0
     else:
-        stack_b, stack_p, resident = state
+        stack_b, stack_p, resident, seen = state
+    base = total + seen
     for i in range(n):
         b = blocks[i]
         p = next_use[i]
         if p >= total:
-            # unique sentinel: never used again
-            p = total + (positions[i] if positions is not None else i)
+            p = base + i  # unique sentinel: never used again
         if b in resident:
             idx = stack_b.index(b)
             if idx == 0:
@@ -267,287 +464,217 @@ def _opt_stack_pass(
                 stack_b.append(b)
                 stack_p.append(p)
             resident.add(b)
-    return out, (stack_b, stack_p, resident)
+    return out, (stack_b, stack_p, resident, seen + n)
+
+
+def _opt_chunk_distances(
+    blocks: np.ndarray,
+    next_use: np.ndarray,
+    max_depth: int,
+    organization: Tuple[int, str],
+    total: int,
+    states: Dict[int, _OptState],
+    keep: bool,
+) -> np.ndarray:
+    """OPT stack distances of one chunk, one priority stack per set of the
+    ``(sets, scheme)`` organization, resumed from ``states`` (and stored
+    back when ``keep``)."""
+    out = np.zeros(blocks.shape[0], dtype=np.int64)
+    for sid, seg in _set_segments(blocks, *organization):
+        dists, state = _opt_stack_pass(
+            blocks[seg].tolist(), next_use[seg].tolist(), max_depth, total, states.get(sid)
+        )
+        if keep:
+            states[sid] = state
+        out[seg] = dists
+    return out
 
 
 def opt_stack_distances(
     blocks: np.ndarray, max_depth: int, sets: int = 1, scheme: str = "mod"
 ) -> np.ndarray:
-    """Per-access OPT stack distances, truncated at ``max_depth``.
-
-    0 marks accesses that miss at every capacity up to ``max_depth`` (cold,
-    or reused only beyond the truncation horizon); distance ``d >= 1`` means
-    the access hits any OPT cache holding at least ``d`` blocks (per set
-    when ``sets > 1``, with sets hashed by ``scheme``).
-    """
+    """Per-access OPT stack distances, truncated at ``max_depth``: 0 marks
+    accesses that miss at every capacity up to ``max_depth``; ``d >= 1``
+    means the access hits any OPT cache holding at least ``d`` blocks (per
+    set when ``sets > 1``, sets hashed by ``scheme``)."""
     if max_depth < 1:
         raise CacheConfigError(f"max_depth must be >= 1, got {max_depth}")
     blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-    n = blocks.shape[0]
-    out = np.zeros(n, dtype=np.int64)
+    return _opt_chunk_distances(
+        blocks, next_occurrences(blocks), max_depth, (sets, scheme),
+        int(blocks.shape[0]), {}, keep=False,
+    )
+
+
+def _opt_next_uses(
+    source: ChunkSource,
+) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]]:
+    """``(blocks, phases, next_use)`` of every chunk, in forward order, with
+    ``next_use`` in absolute trace positions (``source.accesses`` = never
+    again).  The reverse pass folds a chunk's first occurrences into
+    ``carry_next`` and spills its next-use array (to a pass-owned temporary
+    directory, never the trace cache) only when an earlier chunk follows;
+    it ends on chunk 0, whose arrays stay in memory — so a one-chunk source
+    spills nothing."""
+    n = source.n_chunks
     if n == 0:
-        return out
-    if sets <= 1:
-        dists, _ = _opt_stack_pass(
-            blocks.tolist(), next_occurrences(blocks).tolist(), max_depth
-        )
-        out[:] = dists
-        return out
-    for seg in _set_segments(blocks, sets, scheme):
-        sub = blocks[seg]
-        dists, _ = _opt_stack_pass(
-            sub.tolist(), next_occurrences(sub).tolist(), max_depth
-        )
-        out[seg] = dists
-    return out
-
-
-# ----------------------------------------------------------------------
-# per-policy kernels
-# ----------------------------------------------------------------------
-def _fanout(
-    fn: Callable, items: Sequence, workers: Optional[int]
-) -> List[np.ndarray]:
-    """Map ``fn`` over ``items``, through a thread pool when asked to.
-
-    **Ordering guarantee**: the result list is always in input order —
-    ``_fanout(fn, items, w)[i] == fn(items[i])`` for every ``i`` and every
-    ``w``.  The serial path is a comprehension and ``ThreadPoolExecutor.map``
-    yields results in submission order regardless of completion order, so
-    callers (every kernel, every sweep) never re-sort.
-
-    The pool width is clamped to ``min(workers, len(items), os.cpu_count())``
-    (:func:`repro.runtime.backend.effective_workers`): a pool wider than the
-    item list idles from the first task, and one wider than the machine only
-    adds scheduler pressure — ``workers=64`` on a 4-core box for 3 items
-    builds a 3-thread pool, not 64.  Width <= 1 runs serially.
-    """
-    from repro.runtime.backend import effective_workers
-
-    width = effective_workers(workers, len(items))
-    if width <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
-
-
-def _lru_kernel(
-    blocks: np.ndarray, geometries: Sequence[CacheGeometry], workers: Optional[int]
-) -> List[np.ndarray]:
-    distances: Dict[tuple, np.ndarray] = {}
-    for geom in geometries:  # shared pass, once per distinct (sets, scheme)
-        sets = 1 if geom.is_fully_associative else geom.sets
-        key = (sets, _scheme_of(geom, sets))
-        if key not in distances:
-            distances[key] = per_set_stack_distances(blocks, *key)
-
-    def mask(geom: CacheGeometry) -> np.ndarray:
-        sets = 1 if geom.is_fully_associative else geom.sets
-        ways = geom.associativity if sets > 1 else geom.n_blocks
-        d = distances[(sets, _scheme_of(geom, sets))]
-        return (d == 0) | (d > ways)
-
-    return _fanout(mask, list(geometries), workers)
-
-
-def _direct_hit_mask(
-    blocks: np.ndarray, frames: int, scheme: str = "mod"
-) -> np.ndarray:
-    """Per-access hit mask of a direct-mapped cache with ``frames`` frames.
-
-    Per-frame last-block scan: group accesses by frame (the ``scheme``'s
-    hash of the block id; stable argsort keeps them time-ordered), hit iff
-    the previous access to the same frame touched the same block.
-    """
-    n = blocks.shape[0]
-    hit_mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return hit_mask
-    key = set_index_array(blocks, frames, scheme)
-    order = _stable_group_order(key, frames)
-    sk, sb = key[order], blocks[order]
-    same = (sk[1:] == sk[:-1]) & (sb[1:] == sb[:-1])
-    hit_mask[order[1:][same]] = True
-    return hit_mask
-
-
-def _direct_kernel(
-    blocks: np.ndarray, geometries: Sequence[CacheGeometry], workers: Optional[int]
-) -> List[np.ndarray]:
-    hits: Dict[tuple, np.ndarray] = {}
-    for geom in geometries:
-        if geom.ways not in (None, 1):
-            raise CacheConfigError(
-                f"direct-mapped replay needs ways=1 (or an unspecified "
-                f"associativity), got ways={geom.ways}"
-            )
-        key = (geom.n_blocks, _scheme_of(geom, geom.n_blocks))
-        if key not in hits:
-            hits[key] = _direct_hit_mask(blocks, *key)
-
-    def mask(geom: CacheGeometry) -> np.ndarray:
-        return ~hits[(geom.n_blocks, _scheme_of(geom, geom.n_blocks))]
-
-    return _fanout(mask, list(geometries), workers)
+        return
+    total = hi = source.accesses
+    spill: ContextManager[str] = (
+        tempfile.TemporaryDirectory(prefix="repro-optstream-") if n > 1 else nullcontext("")
+    )
+    with spill as tmp:
+        paths = [Path(tmp) / f"next{i}.npy" for i in range(n)]
+        carry_next: Dict[int, int] = {}
+        for index in range(n - 1, -1, -1):
+            blocks, phases = source.chunk(index)
+            lo = hi - int(blocks.shape[0])
+            next_use = next_occurrences(blocks) + lo
+            if index < n - 1:  # an in-chunk "never again" may recur later
+                tail = np.flatnonzero(next_use >= hi)
+                next_use[tail] = np.fromiter(
+                    (carry_next.get(b, total) for b in blocks[tail].tolist()),
+                    dtype=np.int64, count=int(tail.shape[0]),
+                )
+            if index:
+                uniq, first = np.unique(blocks, return_index=True)
+                carry_next.update(zip(uniq.tolist(), (first + lo).tolist()))
+                np.save(paths[index], next_use)
+            hi = lo
+        yield blocks, phases, next_use
+        for index in range(1, n):
+            blocks, phases = source.chunk(index)
+            yield blocks, phases, np.load(paths[index])
 
 
 def _opt_kernel(
-    blocks: np.ndarray, geometries: Sequence[CacheGeometry], workers: Optional[int]
-) -> List[np.ndarray]:
-    # one truncated priority-stack pass per distinct (set count, scheme),
-    # deep enough for the largest capacity sharing that pass
-    depth_for: Dict[tuple, int] = {}
-    for geom in geometries:
-        sets = 1 if geom.is_fully_associative else geom.sets
-        cap = geom.n_blocks if sets == 1 else geom.associativity
-        key = (sets, _scheme_of(geom, sets))
+    source: ChunkSource, geometries: Sequence[CacheGeometry], workers: Optional[int]
+) -> Iterator[ChunkMasks]:
+    """The opt kernel: one truncated priority-stack pass per distinct
+    (set count, scheme), deep enough for the largest capacity sharing it."""
+    orgs = [((g.sets, _scheme_of(g, g.sets)), g.associativity) for g in geometries]
+    depth_for: Dict[Tuple[int, str], int] = {}
+    for key, cap in orgs:
         depth_for[key] = max(depth_for.get(key, 1), cap)
-    distances = {
-        key: opt_stack_distances(blocks, depth, sets=key[0], scheme=key[1])
-        for key, depth in depth_for.items()
-    }
+    states: Dict[Tuple[int, str], Dict[int, _OptState]] = {k: {} for k in depth_for}
+    for index, (blocks, phases, next_use) in enumerate(_opt_next_uses(source)):
+        dist = {
+            key: _opt_chunk_distances(
+                blocks, next_use, depth, key, source.accesses, states[key],
+                keep=index + 1 < source.n_chunks,
+            )
+            for key, depth in depth_for.items()
+        }
+        yield phases, fan_out(
+            lambda org: _distance_mask(dist[org[0]], org[1]),
+            orgs, backend="thread", workers=workers,
+        )
 
-    def mask(geom: CacheGeometry) -> np.ndarray:
-        sets = 1 if geom.is_fully_associative else geom.sets
-        cap = geom.n_blocks if sets == 1 else geom.associativity
-        d = distances[(sets, _scheme_of(geom, sets))]
-        return (d == 0) | (d > cap)
 
-    return _fanout(mask, list(geometries), workers)
-
-
-def _lru_level_mask(
-    blocks: np.ndarray, geom: CacheGeometry, shared: Dict
-) -> np.ndarray:
-    """Single-level miss mask of one LRU organization, with memoized passes.
-
-    ``ways=1`` takes the per-frame scan (:func:`_direct_hit_mask`); every
-    other organization reads off the per-set stack distances.  ``shared``
-    memoizes both pass kinds by their organization key, so all geometries
-    sharing a set count (or frame count) reuse one pass — this is the
-    hierarchy kernel's amortization unit for both levels.
-    """
-    if geom.ways == 1:
-        scheme = _scheme_of(geom, geom.n_blocks)
-        key = ("direct", geom.n_blocks, scheme)
-        hit = shared.get(key)
-        if hit is None:
-            hit = shared[key] = _direct_hit_mask(blocks, geom.n_blocks, scheme)
-        return ~hit
-    sets = 1 if geom.is_fully_associative else geom.sets
-    scheme = _scheme_of(geom, sets)
-    key = ("lru", sets, scheme)
-    d = shared.get(key)
-    if d is None:
-        d = shared[key] = per_set_stack_distances(blocks, sets, scheme)
-    ways = geom.associativity if sets > 1 else geom.n_blocks
-    return (d == 0) | (d > ways)
+# ----------------------------------------------------------------------
+# two_level: L1 pass, miss sub-trace, L2 pass
+# ----------------------------------------------------------------------
+def _two_level_group(
+    blocks: np.ndarray,
+    carry: np.ndarray,
+    l1: CacheGeometry,
+    l2s: Sequence[CacheGeometry],
+    sub_carry: np.ndarray,
+    l1_memo: _Memo,
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """One L1 group of a chunk: ``(L1 miss mask, L1 miss sub-trace,
+    memory-miss mask per L2)``, L2 replaying the sub-trace under
+    ``sub_carry``."""
+    l1_mask = _level_mask(blocks, carry, l1, l1.ways == 1, l1_memo)
+    pos = np.flatnonzero(l1_mask)
+    sub = blocks[pos]
+    l2_memo: _Memo = {}
+    memory: List[np.ndarray] = []
+    for l2 in l2s:
+        full = np.zeros(blocks.shape[0], dtype=bool)
+        # memory miss = L1 miss AND L2 miss
+        full[pos[_level_mask(sub, sub_carry, l2, l2.ways == 1, l2_memo)]] = True
+        memory.append(full)
+    return l1_mask, sub, memory
 
 
 def _two_level_kernel(
-    blocks: np.ndarray, geometries: Sequence, workers: Optional[int]
-) -> List[np.ndarray]:
-    """Memory-miss masks of two-level hierarchies, one L1 pass per distinct L1.
-
-    The stepwise :class:`~repro.cache.hierarchy.TwoLevelCache` consults L2
-    exactly when L1 misses, so L2's contents evolve as an LRU cache fed the
-    L1 *miss sub-trace* — which depends only on the L1 geometry.  The kernel
-    therefore groups sweep points by L1, computes each L1 mask once, replays
-    every L2 organization of the group over the (much shorter) sub-trace,
-    and scatters the L2 verdicts back to trace positions.  ``workers``
-    threads the per-L1 groups.
-    """
+    source: ChunkSource, geometries: Sequence[TwoLevelGeometry], workers: Optional[int]
+) -> Iterator[ChunkMasks]:
+    """The two_level kernel: sweep points grouped by L1, one L1 pass per
+    group (``workers`` threads the groups); L1 carries the recency list,
+    each group's L2 one over the group's miss sub-stream."""
     for tg in geometries:
         if not isinstance(tg, TwoLevelGeometry):
             raise CacheConfigError(
-                f"policy 'two_level' sweeps TwoLevelGeometry points, "
-                f"got {tg!r}"
+                f"policy 'two_level' sweeps TwoLevelGeometry points, got {tg!r}"
             )
-    n = blocks.shape[0]
     groups: Dict[CacheGeometry, List[int]] = {}
     for i, tg in enumerate(geometries):
         groups.setdefault(tg.l1, []).append(i)
-    l1_shared: Dict = {}  # L1 passes shared even across distinct L1 geometries
+    items = list(groups.items())
+    sub_carries: Dict[CacheGeometry, np.ndarray] = {}
+    for index, (blocks, phases, carry) in enumerate(_recency_carries(source)):
+        l1_memo: _Memo = {}
 
-    def run_group(item: Tuple[CacheGeometry, List[int]]) -> List:
-        l1, idxs = item
-        l1_mask = _lru_level_mask(blocks, l1, l1_shared)
-        pos = np.flatnonzero(l1_mask)
-        sub = blocks[pos]
-        l2_shared: Dict = {}
-        results = []
-        for i in idxs:
-            l2_miss_sub = _lru_level_mask(sub, geometries[i].l2, l2_shared)
-            full = np.zeros(n, dtype=bool)
-            full[pos[l2_miss_sub]] = True  # memory miss = L1 miss AND L2 miss
-            results.append((i, full))
-        return results
+        def run_group(item: Tuple[CacheGeometry, List[int]]) -> List[np.ndarray]:
+            l1, idxs = item
+            sub_carry = sub_carries.get(l1, _EMPTY)
+            _l1_mask, sub, memory = _two_level_group(
+                blocks, carry, l1, [geometries[i].l2 for i in idxs], sub_carry, l1_memo
+            )
+            if index + 1 < source.n_chunks:
+                sub_carries[l1] = recency_carry(sub_carry, sub)
+            return memory
 
-    out: List[Optional[np.ndarray]] = [None] * len(geometries)
-    for group_results in _fanout(run_group, list(groups.items()), workers):
-        for i, mask in group_results:
-            out[i] = mask
-    return out
+        out: List[np.ndarray] = [_EMPTY] * len(geometries)
+        masks = fan_out(run_group, items, backend="thread", workers=workers)
+        for (_l1, idxs), memory in zip(items, masks):
+            for i, mask in zip(idxs, memory):
+                out[i] = mask
+        yield phases, out
 
 
 def hierarchy_level_masks(
     blocks: np.ndarray, geometry: TwoLevelGeometry
-) -> tuple:
-    """Per-access ``(l1_miss_mask, memory_miss_mask)`` of one hierarchy.
-
-    The first mask marks L1 misses (= L2 consults), the second the subset
-    that also missed L2 (= memory transfers, what ``policy="two_level"``
-    counts).  Experiment A8 reads the inclusion filter rate straight off
-    these two masks.
-    """
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-access ``(l1_miss_mask, memory_miss_mask)`` of one hierarchy:
+    L1 misses (= L2 consults) and the subset that also missed L2 (= memory
+    transfers, what ``policy="two_level"`` counts).  Experiment A8 reads
+    the inclusion filter rate straight off these two masks."""
     arr = np.ascontiguousarray(blocks, dtype=np.int64)
-    l1_mask = _lru_level_mask(arr, geometry.l1, {})
-    (mem_mask,) = _two_level_kernel(arr, [geometry], None)
-    return l1_mask, mem_mask
+    l1_mask, _sub, (memory,) = _two_level_group(
+        arr, _EMPTY, geometry.l1, [geometry.l2], _EMPTY, {}
+    )
+    return l1_mask, memory
 
 
-_KERNELS: Dict[str, Callable] = {}
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+_KERNELS: Dict[str, Kernel] = {}
 
 
-def register_replay_kernel(policy: str, kernel: Callable) -> None:
-    """Register the vectorized kernel answering sweeps for ``policy``.
-
+def register_replay_kernel(policy: str, kernel: Kernel) -> None:
+    """Register the carried-state kernel answering sweeps for ``policy``.
     The name must already exist in the stepwise registry
     (:func:`repro.cache.policy.get_policy`) — a replay without an oracle is
-    untestable by construction.
-    """
+    untestable by construction."""
     get_policy(policy)
     _KERNELS[policy] = kernel
 
 
-def available_replay_policies() -> tuple:
+def available_replay_policies() -> Tuple[str, ...]:
     return tuple(sorted(_KERNELS))
 
 
-register_replay_kernel("lru", _lru_kernel)
-register_replay_kernel("direct", _direct_kernel)
+register_replay_kernel("lru", partial(_recency_kernel, policy="lru"))
+register_replay_kernel("direct", partial(_recency_kernel, policy="direct"))
 register_replay_kernel("opt", _opt_kernel)
 register_replay_kernel("two_level", _two_level_kernel)
 
 
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-def replay_miss_masks(
-    blocks: np.ndarray,
-    geometries: Iterable[CacheGeometry],
-    policy: str = "lru",
-    workers: Optional[int] = None,
-) -> List[np.ndarray]:
-    """Per-access boolean miss masks of ``policy`` for every geometry.
-
-    All shared work (stack distances, set partitions, next-use passes) is
-    computed once per distinct organization and reused across the sweep;
-    ``workers`` threads the final per-geometry mask evaluation.
-    """
-    geoms = list(geometries)
+def _kernel_for(policy: str) -> Kernel:
     get_policy(policy)  # raises CacheConfigError for unknown names
     kernel = _KERNELS.get(policy)
     if kernel is None:
@@ -555,18 +682,98 @@ def replay_miss_masks(
             f"policy {policy!r} has no vectorized replay kernel; "
             f"available: {sorted(_KERNELS)}"
         )
-    arr = np.ascontiguousarray(blocks, dtype=np.int64)
+    return kernel
+
+
+# ----------------------------------------------------------------------
+# reductions and entry points
+# ----------------------------------------------------------------------
+def _mask_stats(masks: Sequence[np.ndarray], phases: Optional[np.ndarray]) -> StreamStats:
+    """Per-geometry ``(misses, phase bincount-or-None)`` of one chunk's
+    masks — the one reduction every replay front door uses."""
+    return [
+        (
+            int(np.count_nonzero(mask)),
+            None if phases is None
+            else np.bincount(phases[mask], minlength=len(PHASE_NAMES)).tolist(),
+        )
+        for mask in masks
+    ]
+
+
+def _add_stats(a: StreamStats, b: StreamStats) -> StreamStats:
+    """Sum two chunks' reduced statistics — exact, since bincounts add."""
+    return [
+        (ma + mb, cb if ca is None else ca if cb is None else [x + y for x, y in zip(ca, cb)])
+        for (ma, ca), (mb, cb) in zip(a, b)
+    ]
+
+
+def _replay_stats(
+    source: ChunkSource,
+    geometries: Sequence[Any],
+    policy: str,
+    workers: Optional[int] = None,
+    streamed: bool = True,
+) -> StreamStats:
+    """Reduced per-geometry statistics of ``policy`` over ``source``; each
+    chunk's masks are reduced and dropped, so peak memory is O(chunk +
+    carried state).  ``streamed`` picks the span: a chunked replay is a
+    ``stream.replay`` counting ``stream.chunks``, a whole in-memory trace a
+    plain ``replay``."""
+    geoms = list(geometries)
+    kernel = _kernel_for(policy)
+    obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
+    stats: StreamStats = [(0, None)] * len(geoms)
+    span = (
+        obs.span(obs_names.STREAM_REPLAY, policy=policy) if streamed
+        else obs.span(obs_names.REPLAY, policy=policy)
+    )
+    with span:
+        for phases, masks in kernel(source, geoms, workers):
+            if streamed:
+                obs.add(obs_names.STREAM_CHUNKS)
+            stats = _add_stats(stats, _mask_stats(masks, phases))
+    return stats
+
+
+def _replay_masks(
+    kernel: Kernel, source: ChunkSource, geoms: List[Any], workers: Optional[int]
+) -> List[np.ndarray]:
+    """Full-length per-geometry masks; a one-chunk source's come back as
+    the kernel made them, with no copy."""
+    chunks = [masks for _phases, masks in kernel(source, geoms, workers)]
+    if len(chunks) == 1:
+        return chunks[0]
+    if not chunks:
+        return [np.zeros(0, dtype=bool) for _ in geoms]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+def replay_miss_masks(
+    blocks: np.ndarray,
+    geometries: Iterable[Any],
+    policy: str = "lru",
+    workers: Optional[int] = None,
+) -> List[np.ndarray]:
+    """Per-access boolean miss masks of ``policy`` for every geometry: the
+    policy's kernel over a one-chunk source.  Shared work (stack distances,
+    set partitions, next-use passes) runs once per distinct organization;
+    ``workers`` threads the final per-geometry mask evaluation."""
+    geoms = list(geometries)
+    kernel = _kernel_for(policy)
+    source = ArrayChunkSource(blocks, chunk_words=max(1, len(blocks)))
     # the geometry tally is chunk-sum invariant: a process backend's
     # workers each count their chunk and the merged total equals one
     # serial call's — tests/test_obs.py pins that equality
     obs.add(obs_names.REPLAY_GEOMETRIES, len(geoms))
     with obs.span(obs_names.REPLAY, policy=policy):
-        return kernel(arr, geoms, workers)
+        return _replay_masks(kernel, source, geoms, workers)
 
 
 def replay_misses(
     blocks: np.ndarray,
-    geometries: Iterable[CacheGeometry],
+    geometries: Iterable[Any],
     policy: str = "lru",
     workers: Optional[int] = None,
 ) -> List[int]:
@@ -575,3 +782,21 @@ def replay_misses(
         int(np.count_nonzero(m))
         for m in replay_miss_masks(blocks, geometries, policy=policy, workers=workers)
     ]
+
+
+def stream_masks(
+    source: ChunkSource, geometries: Sequence[Any], policy: str = "lru"
+) -> List[np.ndarray]:
+    """Full-length per-geometry miss masks, assembled chunk by chunk —
+    O(trace) booleans per geometry, for the differential suite; the
+    production path (:func:`stream_stats`) never builds them."""
+    return _replay_masks(_kernel_for(policy), source, list(geometries), None)
+
+
+def stream_stats(
+    source: ChunkSource, geometries: Sequence[Any], policy: str = "lru"
+) -> StreamStats:
+    """Reduced per-geometry ``(misses, phase_bincount)`` over a chunk
+    source in O(chunk + carried state) memory; chunk bincounts add, so the
+    totals are bit-identical to the monolithic replay's."""
+    return _replay_stats(source, geometries, policy)

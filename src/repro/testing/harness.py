@@ -49,22 +49,20 @@ def replay_kernel(policy: str, workers: Optional[int] = None) -> Kernel:
     """The vectorized replay engine of ``policy`` as a harness kernel.
 
     The returned kernel also accepts an optional ``chunk_words=`` keyword:
-    when given, the masks come from the out-of-core streaming engine
-    (:func:`repro.runtime.streaming.stream_masks`) at that chunk size
-    instead of the monolithic pass, so the same differential grid pins the
-    chunked replay against the stepwise oracle too.
+    the policy's one carried-state kernel then walks the trace in chunks of
+    that size instead of as one chunk, so the same differential grid pins
+    the chunked replay against the stepwise oracle too.
     """
-    from repro.runtime.replay import replay_miss_masks
+    from repro.runtime.replay import ArrayChunkSource, _kernel_for, _replay_masks
 
     def kernel(
         blocks: np.ndarray, grid: Sequence, chunk_words: Optional[int] = None
     ) -> List[np.ndarray]:
-        if chunk_words is not None:
-            from repro.runtime.streaming import ArrayChunkSource, stream_masks
-
-            source = ArrayChunkSource(blocks, chunk_words=chunk_words)
-            return stream_masks(source, list(grid), policy=policy)
-        return replay_miss_masks(blocks, list(grid), policy=policy, workers=workers)
+        whole = max(1, len(blocks))
+        source = ArrayChunkSource(
+            blocks, chunk_words=whole if chunk_words is None else chunk_words
+        )
+        return _replay_masks(_kernel_for(policy), source, list(grid), workers)
 
     return kernel
 
@@ -162,8 +160,8 @@ def differential_grid(
 
     ``chunk_sizes`` adds a streaming axis: for each size ``s`` the kernel
     is re-invoked as ``kernel(blocks, points, chunk_words=s)`` (the
-    :func:`replay_kernel` adapter routes that through the out-of-core
-    engine) and the masks must again match the oracle bit for bit — the
+    :func:`replay_kernel` adapter runs the policy's carried kernel over
+    chunks of that size) and the masks must again match the oracle bit for bit — the
     oracle runs once per point and pins every chunking.  Divergence
     messages from a streaming pass are prefixed ``[chunk_words=s]``.
 

@@ -48,7 +48,7 @@ from repro.runtime.backend import (
     run_batch,
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
-from repro.runtime.replay import _fanout, replay_miss_masks
+from repro.runtime.replay import replay_miss_masks
 from repro.runtime.trace_cache import TraceCache
 from repro.testing.harness import differential_grid, replay_kernel, stepwise_oracle
 
@@ -159,22 +159,12 @@ class TestFanOutOrdering:
     def test_empty_items(self):
         assert fan_out(_square, [], backend="process", workers=4) == []
 
-
-class TestReplayFanoutClamp:
-    """``repro.runtime.replay._fanout`` — the thread map under the replay
-    kernels — shares the ordering + clamping contract."""
-
-    def test_order_preserved_with_real_threads(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.os, "cpu_count", lambda: 4)
-        items = [(i, 0.002 * (8 - i)) for i in range(8)]
-        assert _fanout(_slow_echo, items, workers=4) == list(range(8))
-
-    def test_oversized_pool_request_is_clamped_not_fatal(self):
+    def test_oversized_thread_pool_request_is_clamped_not_fatal(self):
         # workers far beyond items and cores: same answers, no error
-        assert _fanout(_square, [1, 2, 3], workers=1000) == [1, 4, 9]
+        assert fan_out(_square, [1, 2, 3], backend="thread", workers=1000) == [1, 4, 9]
 
-    def test_workers_none_is_serial(self):
-        assert _fanout(_square, [1, 2, 3], workers=None) == [1, 4, 9]
+    def test_thread_workers_none_is_serial(self):
+        assert fan_out(_square, [1, 2, 3], backend="thread", workers=None) == [1, 4, 9]
 
 
 # ----------------------------------------------------------------------

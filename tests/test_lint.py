@@ -707,3 +707,29 @@ class TestR3ServiceModules:
             "src/repro/runtime/compiled.py": "",
         }
         assert _violations(files, ["R3"]) == []
+
+
+class TestR3ReplayPrivatePrimitives:
+    """Only replay.py may use replay's private pass primitives."""
+
+    def _files(self, streaming):
+        return {
+            "src/repro/runtime/replay.py": "def _opt_stack_pass():\n    pass\n",
+            "src/repro/runtime/compiled.py": "",
+            "src/repro/runtime/streaming.py": streaming,
+        }
+
+    def test_twin_importing_a_private_pass_fires(self):
+        files = self._files(
+            "import numpy as np\n"
+            "from repro.runtime.replay import _opt_stack_pass, recency_carry\n"
+        )
+        (v,) = _violations(files, ["R3"])
+        assert (v.path, v.line) == ("src/repro/runtime/streaming.py", 2)
+        assert "_opt_stack_pass" in v.message
+
+    def test_public_replay_names_are_clean(self):
+        files = self._files(
+            "from repro.runtime.replay import recency_carry, stream_stats\n"
+        )
+        assert _violations(files, ["R3"]) == []

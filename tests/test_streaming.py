@@ -45,7 +45,6 @@ from repro.runtime.streaming import (
     ChunkedTrace,
     compile_trace_chunked,
     recency_carry,
-    simulate_stream,
     stream_masks,
     stream_stats,
 )
@@ -431,11 +430,11 @@ class TestFrontDoors:
         chunked = run_batch(queries, chunk_words=29)
         assert [a.results for a in chunked] == [a.results for a in plain]
 
-    def test_simulate_stream_rejects_unknown_policy(self, workload):
+    def test_simulate_trace_chunked_rejects_unknown_policy(self, workload):
         _g, _sched, trace = workload
         with pytest.raises(CacheConfigError):
-            simulate_stream(trace, [CacheGeometry(size=8 * B, block=B)],
-                            policy="belady2")
+            simulate_trace(trace, [CacheGeometry(size=8 * B, block=B)],
+                           policy="belady2", chunk_words=64)
 
     def test_array_chunk_source_validation(self):
         blocks = np.arange(10, dtype=np.int64)
@@ -468,6 +467,117 @@ class TestProcessChunkFanOut:
         pooled = simulate_trace(ct, geoms, policy=policy, backend="process", workers=2)
         assert pooled == serial
         assert serial == simulate_trace(trace, geoms, policy=policy)
+
+
+    def _dying_in_workers(self, monkeypatch, failure):
+        """Make the lru/direct chunk step fail in pool workers only; the
+        parent (and so any in-process fallback) keeps the real step."""
+        import os
+
+        import repro.runtime.replay as replay_mod
+
+        parent = os.getpid()
+        real_step = replay_mod._recency_step
+
+        def step(*args, **kwargs):
+            if os.getpid() != parent:
+                failure()
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(replay_mod, "_recency_step", step)
+
+    def test_worker_bug_propagates_instead_of_falling_back(
+        self, workload, tmp_path, monkeypatch
+    ):
+        g, sched, _trace = workload
+        cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
+        ct = compile_trace_chunked(g, sched, B, chunk_words=157, cache=cache)
+
+        def bug():
+            raise ValueError("worker bug")
+
+        self._dying_in_workers(monkeypatch, bug)
+        with pytest.raises(ValueError, match="worker bug"):
+            simulate_trace(ct, [CacheGeometry(size=8 * B, block=B)],
+                           policy="lru", backend="process", workers=2)
+
+    def test_broken_pool_falls_back_counted(self, workload, tmp_path, monkeypatch):
+        import os
+
+        from repro import obs
+        from repro.obs import names as obs_names
+
+        g, sched, trace = workload
+        cache = TraceCache(tmp_path / "seg", max_bytes=1 << 30)
+        ct = compile_trace_chunked(g, sched, B, chunk_words=157, cache=cache)
+        geoms = [CacheGeometry(size=16 * B, block=B, ways=2)]
+        serial = simulate_trace(trace, geoms, policy="lru")
+        self._dying_in_workers(monkeypatch, lambda: os._exit(1))
+        with obs.capture(enabled=True) as cap:
+            pooled = simulate_trace(ct, geoms, policy="lru", backend="process", workers=2)
+        assert pooled == serial
+        assert cap.snapshot["counters"][obs_names.BACKEND_FALLBACKS] == 1
+
+
+# ----------------------------------------------------------------------
+# the carried kernels: validation up front, no streaming work for one chunk
+# ----------------------------------------------------------------------
+class TestCarriedKernelContract:
+    @pytest.mark.parametrize(
+        "policy, geom",
+        [
+            ("direct", CacheGeometry(size=8 * B, block=B, ways=2)),
+            ("two_level", CacheGeometry(size=8 * B, block=B)),
+        ],
+    )
+    def test_empty_trace_still_validates_geometries(self, policy, geom):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(CacheConfigError):
+            replay_miss_masks(empty, [geom], policy=policy)
+        source = ArrayChunkSource(empty, chunk_words=4)
+        with pytest.raises(CacheConfigError):
+            stream_stats(source, [geom], policy=policy)
+        with pytest.raises(CacheConfigError):
+            stream_masks(source, [geom], policy=policy)
+
+    def test_one_chunk_replay_folds_no_carry_and_spills_nothing(self, monkeypatch):
+        import tempfile
+
+        import repro.runtime.replay as replay_mod
+
+        folds, spills = [], []
+        real_fold = replay_mod.recency_carry
+        real_tmp = tempfile.TemporaryDirectory
+
+        def fold(carry, blocks):
+            folds.append(1)
+            return real_fold(carry, blocks)
+
+        def tmpdir(*args, **kwargs):
+            spills.append(1)
+            return real_tmp(*args, **kwargs)
+
+        monkeypatch.setattr(replay_mod, "recency_carry", fold)
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", tmpdir)
+        trace = _trace_blocks(n=300, seed=8)
+        grids = {
+            "lru": _fa_geometries() + _sa_geometries(),
+            "direct": [CacheGeometry(size=4 * B, block=B, ways=1)],
+            "opt": _fa_geometries() + _sa_geometries(),
+            "two_level": [
+                TwoLevelGeometry(CacheGeometry(size=2 * B, block=B),
+                                 CacheGeometry(size=8 * B, block=B, ways=2))
+            ],
+        }
+        for policy, geoms in grids.items():
+            replay_miss_masks(trace, geoms, policy=policy)
+            stream_stats(ArrayChunkSource(trace, chunk_words=len(trace)), geoms, policy)
+        assert folds == [] and spills == []
+        # the probes do see streaming work once a second chunk exists
+        two = ArrayChunkSource(trace, sizes=[150, 150])
+        stream_stats(two, grids["lru"], "lru")
+        stream_stats(two, grids["opt"], "opt")
+        assert folds and spills
 
 
 # ----------------------------------------------------------------------
