@@ -45,14 +45,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.sweeps import des_partitioned_workload, fm_partitioned_workload
-from repro.mem.facility import multiswap_refine, smoothed_search
+from repro.mem.facility import MULTISWAP, SWAP, local_search, smoothed_search
 from repro.mem.placement import (
     build_instance,
     conflict_graph,
     greedy_color_order,
     optimize_instance,
     placement_cost,
-    swap_refine,
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
 
@@ -154,18 +153,19 @@ def test_placement_cost_model_speedup(show):
         start_f = greedy_color_order(
             inst_f, direct_f, policy="direct", weights=w_f
         )
+        target_f = [(direct_f, "direct", 1.0)]
         t0 = time.perf_counter()
-        _, _, swap_cost, swap_stats = swap_refine(
-            inst_f, start_f, direct_f, policy="direct",
-            budget=FACILITY_BUDGET, weights=w_f,
+        _, _, swap_cost, swap_stats = local_search(
+            inst_f, start_f, target_f, moves=SWAP, budget=FACILITY_BUDGET,
+            weights=w_f,
         )
-        _, _, ms_cost, ms_stats = multiswap_refine(
-            inst_f, start_f, direct_f, policy="direct",
+        _, _, ms_cost, ms_stats = local_search(
+            inst_f, start_f, target_f, moves=MULTISWAP,
             budget=FACILITY_BUDGET, weights=w_f,
         )
         _, _, sm_cost, sm_stats = smoothed_search(
-            inst_f, direct_f, policy="direct", budget=FACILITY_BUDGET,
-            restarts=2, noise=0.5, seed=0,
+            inst_f, target_f, budget=FACILITY_BUDGET, restarts=2, noise=0.5,
+            seed=0,
         )
         t_fac = time.perf_counter() - t0
         for st in (swap_stats, ms_stats, sm_stats):

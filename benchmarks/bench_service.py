@@ -19,7 +19,7 @@ relative regressions and absolute floors):
   recorded ``cores`` is >= 4, so a laptop or a 1-core CI runner records
   the honest ratio without failing.
 * **search_speedup** — batched placement search
-  (:func:`repro.mem.placement.swap_refine`, ``batch > 1``) on the process
+  (:func:`repro.mem.facility.local_search`, ``batch > 1``) on the process
   backend vs the serial backend at the *same* eval budget, after asserting
   the two trajectories are identical (same order, gaps, cost, evals — the
   backend-invariance contract).  Floor (>= 2x) gated on ``cores >= 4``.
@@ -48,7 +48,8 @@ if str(_ROOT / "src") not in sys.path:  # runnable without PYTHONPATH too
     sys.path.insert(0, str(_ROOT / "src"))
 
 from repro.analysis.sweeps import des_partitioned_workload
-from repro.mem.placement import build_instance, normalize_targets, swap_refine
+from repro.mem.facility import SWAP, local_search
+from repro.mem.placement import build_instance, normalize_targets
 from repro.runtime.backend import ServiceQuery, geometry_sweep, run_batch
 from repro.runtime.compiled import compile_trace_uncached, simulate_trace
 from repro.runtime.trace_cache import TraceCache
@@ -149,16 +150,16 @@ def bench_search(instance, run_geom, cores: int, budget: int, batch: int) -> tup
         block=B,
     )
     order = list(instance.objects)
-    kw = dict(targets=targets, budget=budget, batch=batch, gap_budget=4)
+    kw = dict(moves=SWAP, budget=budget, batch=batch, gap_budget=4)
 
     t0 = time.perf_counter()
-    s_order, s_gaps, s_cost, s_stats = swap_refine(
-        instance, order, backend="serial", **kw
+    s_order, s_gaps, s_cost, s_stats = local_search(
+        instance, order, targets, backend="serial", **kw
     )
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    p_order, p_gaps, p_cost, p_stats = swap_refine(
-        instance, order, backend="process", workers=cores, **kw
+    p_order, p_gaps, p_cost, p_stats = local_search(
+        instance, order, targets, backend="process", workers=cores, **kw
     )
     t_process = time.perf_counter() - t0
     assert (p_order, p_gaps, p_cost, p_stats) == (s_order, s_gaps, s_cost, s_stats), (

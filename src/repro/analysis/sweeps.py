@@ -522,11 +522,11 @@ def ablation_a12_facility_search(
 
     * **Search quality.**  On the DES and fm_radio partitioned workloads
       (direct-mapped at the execution geometry — the organization where
-      placement matters most), run the FLIP baseline
-      (:func:`repro.mem.placement.swap_refine`) and the facility-location
-      searches (:func:`repro.mem.facility.multiswap_refine`,
-      :func:`repro.mem.facility.smoothed_search`) from the same greedy
-      start with the same eval budget.  ``evals`` is read back from the
+      placement matters most), run :func:`repro.mem.facility.local_search`
+      with the FLIP move set (``SWAP``) and the facility-location one
+      (``MULTISWAP``) from the same greedy start, and the smoothed
+      restarts (:func:`repro.mem.facility.smoothed_search`), all with the
+      same eval budget.  ``evals`` is read back from the
       scorer (every cost-model invocation counted), so the comparison is
       honest: the claim is better misses at *equal* budget, not more
       search.  ``budget`` sits past FLIP's convergence point on both
@@ -549,14 +549,13 @@ def ablation_a12_facility_search(
     alone (``numpy.random.default_rng``), so rerunning reproduces every
     row bit-for-bit.
     """
-    from repro.mem.facility import multiswap_refine, smoothed_search
+    from repro.mem.facility import MULTISWAP, SWAP, local_search, smoothed_search
     from repro.mem.placement import (
         build_instance,
         conflict_graph,
         greedy_color_order,
         optimize_instance,
         placement_costs,
-        swap_refine,
     )
 
     rows: List[Dict[str, Any]] = []
@@ -570,17 +569,18 @@ def ablation_a12_facility_search(
         weights = conflict_graph(instance)
         start = greedy_color_order(instance, direct, policy="direct",
                                    weights=weights)
-        _o, _g2, swap_cost, swap_stats = swap_refine(
-            instance, start, direct, policy="direct", budget=budget,
+        target = [(direct, "direct", 1.0)]
+        _o, _g2, swap_cost, swap_stats = local_search(
+            instance, start, target, moves=SWAP, budget=budget,
             weights=weights,
         )
-        _o, _g2, multi_cost, multi_stats = multiswap_refine(
-            instance, start, direct, policy="direct", budget=budget,
+        _o, _g2, multi_cost, multi_stats = local_search(
+            instance, start, target, moves=MULTISWAP, budget=budget,
             weights=weights,
         )
         _o, _g2, smooth_cost, smooth_stats = smoothed_search(
-            instance, direct, policy="direct", budget=budget,
-            restarts=restarts, noise=noise, seed=seed,
+            instance, target, budget=budget, restarts=restarts, noise=noise,
+            seed=seed,
         )
         for label, cost, stats in (
             ("swap", swap_cost, swap_stats),

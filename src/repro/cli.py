@@ -83,6 +83,7 @@ from repro.cache.base import CacheGeometry
 from repro.graphs.apps import ALL_APPS
 from repro.graphs.io import load_graph, save_graph, to_dot
 from repro.graphs.sdf import StreamGraph
+from repro.mem.placement import available_placements
 
 __all__ = ["main", "build_parser"]
 
@@ -555,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="L2 associativity (0 = fully associative; needs "
                         "--l2-frames)")
     s.add_argument("--layout", default="topo",
-                   choices=("topo", "color", "swap", "multiswap", "smoothed",
-                            "minimax"),
+                   choices=available_placements(),
                    help="memory placement: seed topological order, greedy "
                         "set-coloring, swap-refined local search, k-object "
                         "multiswap with per-set capacity constraints, "

@@ -1,7 +1,7 @@
 """Memory layout (address assignment), access-trace recording, and
 conflict-aware placement optimization."""
 
-from repro.mem.facility import multiswap_refine, smoothed_search
+from repro.mem.facility import MULTISWAP, SWAP, MoveSet, local_search, smoothed_search
 from repro.mem.layout import MemoryLayout, ObjectKey, Region, layout_objects
 from repro.mem.placement import (
     PlacementInstance,
@@ -20,7 +20,6 @@ from repro.mem.placement import (
     register_placement,
     remap_blocks,
     remap_trace,
-    swap_refine,
 )
 from repro.mem.trace import TraceRecorder, TracingCache
 
@@ -47,7 +46,9 @@ __all__ = [
     "register_placement",
     "remap_blocks",
     "remap_trace",
-    "swap_refine",
-    "multiswap_refine",
+    "MoveSet",
+    "SWAP",
+    "MULTISWAP",
+    "local_search",
     "smoothed_search",
 ]

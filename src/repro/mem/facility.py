@@ -1,46 +1,51 @@
-"""Capacitated facility-location placement strategies.
+"""Placement local search: one engine over (order, gaps), four strategies.
 
 Assigning hot objects to capacity-limited cache sets *is* hard
 capacitated facility location (each set is a facility with ``ways``
-slots; each object "opens" in every set its block span covers), and the
-pairwise-swap search of :func:`repro.mem.placement.swap_refine` is FLIP
-local search — known to stall on plateaus that richer move sets escape.
-This module upgrades the search on three axes, all scored against the
-same exact block-remap cost model (never an estimator):
+slots; each object "opens" in every set its block span covers), and
+pairwise-swap search over it is FLIP local search — known to stall on
+plateaus that richer move sets escape.  Both are one neighbourhood family
+scored by one objective, so this module holds one search,
+:func:`local_search`: a continuous first-improvement sweep over a move
+list, every candidate scored on the exact block-remap cost model (never
+an estimator).  What differs between the strategies is data:
 
-* :func:`multiswap_refine` — local search over **k-object moves**
-  (k <= 3): pairwise exchanges, 3-rotations along conflict-graph
-  triangles, and single-object relocations, interleaved with the same
-  ±1 gap moves.  Per-set **capacity is a hard constraint**: a candidate
-  whose worst per-set hot-object load exceeds both the primary target's
-  ``ways`` and the current state's load is pruned *before* scoring (it
-  never consumes an eval; the ``placement.pruned`` counter records how
-  many moves the constraint rejected).
-* :func:`smoothed_search` — **smoothed-analysis style multi-restart**:
-  each restart perturbs the conflict-graph edge weights with seeded
-  multiplicative noise (changing the greedy start and the move ranking,
-  *never* the objective), runs :func:`multiswap_refine` on a slice of
-  the eval budget, and the **unperturbed exact objective picks the
-  winner**.  Restart 0 always runs unperturbed, so ``smoothed`` can
-  only match or beat single-start ``multiswap`` at the same total
-  budget, modulo budget slicing.  Deterministic: one ``seed`` fixes the
-  whole noise stream (``numpy.random.default_rng``), so the same
-  ``(seed, restarts, noise, budget, batch)`` always returns the same
-  layout — CI pins exactly that.
-* ``objective="minimax"`` — the fault-tolerant variant: instead of the
-  weighted miss sum, minimize the **worst-case per-target ratio versus
-  the seed layout** (lexicographically tie-broken by the weighted sum),
-  which directly attacks A9's near-1x per-target stragglers.
+* **the move set** (:class:`MoveSet`).  :data:`SWAP` holds ranked
+  pairwise swaps and ±1 gap moves.  :data:`MULTISWAP` adds **k-object
+  moves** (k <= 3) — 3-rotations along conflict-graph triangles and
+  single-object relocations — and makes per-set **capacity a hard
+  constraint**: a candidate whose worst per-set hot-object load exceeds
+  both the primary target's ``ways`` and the current state's load is
+  pruned *before* scoring (it never consumes an eval; the
+  ``placement.pruned`` counter records how many moves the constraint
+  rejected).
+* **the objective**.  ``"sum"`` is the weighted miss total;
+  ``"minimax"`` minimizes the **worst-case per-target ratio versus the
+  seed layout** (lexicographically tie-broken by the weighted sum), which
+  directly attacks A9's near-1x per-target stragglers.
 
-All three are registered placement strategies (``multiswap``,
-``smoothed``, ``minimax``) and flow through
+The registered strategies are short compositions over the engine, all
+starting from the greedy-color order of the primary target: ``swap`` and
+``multiswap`` run it once with their move set; ``minimax`` spends half its
+budget on the weighted sum and the rest on the minimax objective;
+``smoothed`` (:func:`smoothed_search`) is a **smoothed-analysis style
+multi-restart** over :data:`MULTISWAP` — each restart perturbs the
+conflict-graph edge weights with seeded multiplicative noise (changing the
+greedy start and the move ranking, *never* the objective), and the
+**unperturbed exact objective picks the winner**.  Restart 0 always runs
+unperturbed, and one ``seed`` fixes the whole noise stream
+(``numpy.random.default_rng``), so the same ``(seed, restarts, noise,
+budget, batch)`` always returns the same layout — CI pins exactly that.
+Every strategy flows through
 :func:`repro.mem.placement.optimize_instance`'s
 never-worse-than-seed-at-every-target contract unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,7 +70,10 @@ from repro.obs import core as obs
 from repro.obs import names as obs_names
 
 __all__ = [
-    "multiswap_refine",
+    "MoveSet",
+    "SWAP",
+    "MULTISWAP",
+    "local_search",
     "smoothed_search",
 ]
 
@@ -78,6 +86,33 @@ _Move = Tuple
 _MAX_TRIANGLES = 32
 _RELOC_OBJECTS = 6
 _RELOC_POSITIONS = 6
+
+#: one search's result: (order, gaps, weighted cost, telemetry)
+SearchResult = Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]
+
+
+@dataclass(frozen=True)
+class MoveSet:
+    """The neighbourhood one :func:`local_search` sweep visits.
+
+    Every move set holds pairwise swaps (heaviest conflict edge first, then
+    every remaining pair) and, under a gap budget, ±1 gap moves (hottest
+    object first).  ``k_object`` adds the k-object moves — 3-rotations
+    along the heaviest conflict-graph triangles and relocations of the
+    hottest objects to evenly spaced positions — and the capacity prune,
+    which rejects, before scoring, a candidate whose worst per-set
+    hot-object load exceeds both the primary target's ways and the current
+    state's.
+    """
+
+    k_object: bool = False
+
+
+#: FLIP local search: ranked pairwise swaps and ±1 gap moves
+SWAP = MoveSet()
+#: k-object local search: SWAP plus triangle rotations, hot-object
+#: relocations and the per-set capacity prune
+MULTISWAP = MoveSet(k_object=True)
 
 
 def _ratio(misses: int, seed: int) -> float:
@@ -130,36 +165,44 @@ def _max_set_load(
 
 def _gen_moves(
     instance: PlacementInstance,
-    ranked: Sequence[Tuple[int, int]],
-    triangles: Sequence[Tuple[int, int, int]],
+    moves: MoveSet,
+    weights: Dict[Tuple[int, int], float],
     hot: Sequence[int],
     gap_budget: int,
-    n_obj: int,
 ) -> List[_Move]:
     """The move sites of one sweep, strongest first: ranked pairwise swaps
-    (the FLIP workhorse), 3-rotations over conflict triangles, hot-object
+    (the FLIP workhorse — on sparse conflict graphs most of the gain lives
+    in a few hot pairs), 3-rotations over conflict triangles, hot-object
     relocations, then gap moves.  Gap legality is state-dependent (the
     budget moves under the sweep's feet), so it is rechecked per
     materialization in :func:`_apply_move`, not here."""
-    moves: List[_Move] = []
+    n_obj = instance.n_objects
+    ranked = sorted(weights, key=lambda e: (-weights[e], e))
+    seen = set(ranked)
+    ranked += [
+        (a, b) for a in range(n_obj) for b in range(a + 1, n_obj)
+        if (a, b) not in seen
+    ]
+    out: List[_Move] = []
     for a, b in ranked:
         if instance.nblocks[a] == 0 and instance.nblocks[b] == 0:
             continue  # zero-length objects own no blocks: swap is a no-op
-        moves.append(("swap", a, b))
-    for x, y, z in triangles:
-        moves.append(("rot", x, y, z, 1))
-        moves.append(("rot", x, y, z, -1))
-    step = max(1, n_obj // _RELOC_POSITIONS)
-    for oid in hot[:_RELOC_OBJECTS]:
-        if instance.nblocks[oid] == 0:
-            continue
-        for pos in range(0, n_obj, step):
-            moves.append(("move", oid, pos))
+        out.append(("swap", a, b))
+    if moves.k_object:
+        for x, y, z in _conflict_triangles(weights):
+            out.append(("rot", x, y, z, 1))
+            out.append(("rot", x, y, z, -1))
+        step = max(1, n_obj // _RELOC_POSITIONS)
+        for oid in hot[:_RELOC_OBJECTS]:
+            if instance.nblocks[oid] == 0:
+                continue
+            for pos in range(0, n_obj, step):
+                out.append(("move", oid, pos))
     if gap_budget:
         for oid in hot:
-            moves.append(("gap", oid, 1))
-            moves.append(("gap", oid, -1))
-    return moves
+            out.append(("gap", oid, 1))
+            out.append(("gap", oid, -1))
+    return out
 
 
 def _apply_move(
@@ -207,40 +250,56 @@ def _apply_move(
     return list(ids), new_gap
 
 
-def multiswap_refine(
+def local_search(
     instance: PlacementInstance,
     order: Sequence[ObjectKey],
-    geometry: Optional[CacheGeometry] = None,
-    policy: str = "direct",
-    window: int = 8,
-    budget: int = 400,
-    weights: Optional[Dict[Tuple[int, int], float]] = None,
-    targets: Optional[Sequence[PlacementTarget]] = None,
+    targets: Sequence[PlacementTarget],
+    *,
+    moves: MoveSet,
+    objective: str = "sum",
+    budget: int,
     gap_budget: int = 0,
     gaps: Optional[Dict[ObjectKey, int]] = None,
     batch: int = 1,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     chunk_words: Optional[int] = None,
-    objective: str = "sum",
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
-    """k-object local search (k <= 3) with per-set capacity as a hard
-    constraint, on the exact block-remap cost model.
+    weights: Optional[Dict[Tuple[int, int], float]] = None,
+) -> SearchResult:
+    """Local search over (order, gaps) on the exact block-remap cost model.
 
-    Same calling convention and return shape as
-    :func:`repro.mem.placement.swap_refine`; the differences are the move
-    set (3-rotations over conflict triangles and hot-object relocations on
-    top of ranked pairwise swaps and gap moves), the capacity prune (a
-    candidate whose worst per-set hot-object load exceeds both the primary
-    target's ``ways`` and the current state's own load is rejected without
-    spending an eval — counted by ``placement.pruned``), and the
-    ``objective``: ``"sum"`` is the weighted miss total, ``"minimax"``
-    minimizes ``(worst per-target miss ratio vs the seed layout, weighted
-    sum)`` lexicographically.  ``RefineStats.evals`` is read back from the
-    scorer, so it always equals the number of cost-model invocations the
-    search performed — the honest currency of "equal eval budget"
-    comparisons.  The trajectory tracks the objective actually optimized
-    (weighted sum, or the worst-case ratio under ``"minimax"``).
+    Starting from ``order`` (and optionally ``gaps``), each sweep walks the
+    move list of ``moves`` (ranked by the conflict graph ``weights``,
+    default :func:`~repro.mem.placement.conflict_graph`) once: the next
+    ``batch`` legal moves are materialized against the current state and
+    scored together, and the best one that strictly improves the objective
+    is applied in place before the sweep continues.  After a gap move is
+    accepted, its inverse on the same object is skipped for the rest of the
+    sweep — it is the state just left and can never strictly win.  Gap
+    moves never push the total padding past ``gap_budget`` blocks.  The
+    search stops after a sweep without improvement or after ``budget``
+    cost evaluations.
+
+    ``objective="sum"`` minimizes the weighted miss sum over ``targets``;
+    ``"minimax"`` minimizes ``(worst per-target miss ratio vs the seed
+    layout, weighted sum)`` lexicographically (scoring the seed layout
+    costs one eval).  Returns ``(order, gaps, cost, stats)``: ``gaps`` maps
+    object keys to their padding in blocks (zero entries omitted), ``cost``
+    is the weighted miss sum, and ``stats`` is a :class:`RefineStats`
+    whose ``evals`` is read back from the scorer — it always equals the
+    number of cost-model invocations, the honest currency of "equal eval
+    budget" comparisons — and whose trajectory tracks the objective
+    optimized (weighted sum, or the worst-case ratio under ``"minimax"``).
+    The same telemetry is recorded as obs metrics.
+
+    **Parallel scoring.**  Candidates are scored through a
+    :class:`repro.runtime.backend.CandidateScorer`, which ships the remap
+    arrays to a process pool once via shared memory when
+    ``backend="process"``.  The trajectory depends on ``batch`` only —
+    never on ``backend`` or ``workers`` — so serial and process runs of
+    the same ``batch`` return identical results at an identical eval
+    count.  ``chunk_words`` scores through the chunked replay: the counts
+    are bit-identical, so the trajectory is too.
     """
     if gap_budget < 0:
         raise LayoutError(f"gap_budget must be >= 0, got {gap_budget}")
@@ -250,14 +309,9 @@ def multiswap_refine(
         raise LayoutError(
             f"objective must be 'sum' or 'minimax', got {objective!r}"
         )
-    if targets is None:
-        if geometry is None:
-            raise LayoutError("multiswap_refine needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
-    else:
-        targets_n = normalize_targets(targets, block=instance.block)
+    targets = normalize_targets(targets, block=instance.block)
     if weights is None:
-        weights = conflict_graph(instance, window=window)
+        weights = conflict_graph(instance)
     ids = _order_ids(instance, order)
     gap_arr = _gap_vector(instance, gaps)
     gap_vec = (
@@ -270,28 +324,30 @@ def multiswap_refine(
             f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
         )
     n_obj = instance.n_objects
-    ranked = sorted(weights, key=lambda e: (-weights[e], e))
-    seen = set(ranked)
-    ranked += [
-        (a, b) for a in range(n_obj) for b in range(a + 1, n_obj)
-        if (a, b) not in seen
-    ]
-    triangles = _conflict_triangles(weights)
     degree = [0.0] * n_obj
     for (a, b), w in weights.items():
         degree[a] += w
         degree[b] += w
     hot = sorted(range(n_obj), key=lambda o: (-degree[o], o))
+    move_list = _gen_moves(instance, moves, weights, hot, gap_budget)
+    # the capacity prune counts hot objects per set of the primary target;
+    # it is off (every load reads 0, below cap_ways >= 1) for SWAP and for
+    # a primary target without set conflicts
     hot_ids = [o for o in hot if degree[o] > 0]
-    cap_geom, cap_policy, _w = _primary_target(targets_n)
-    cap_sets = _conflict_sets(cap_geom, cap_policy)
-    cap_ways = 1 if cap_policy == "direct" else cap_geom.ways
+    cap_geom, cap_policy, _w = _primary_target(targets)
+    cap_sets = _conflict_sets(cap_geom, cap_policy) if moves.k_object else 1
+    cap_ways = 1 if cap_policy == "direct" else cap_geom.associativity
+
+    def load_of(starts: np.ndarray) -> int:
+        if cap_sets > 1:
+            return _max_set_load(instance, starts, hot_ids, cap_geom, cap_sets)
+        return 0
 
     from repro.runtime.backend import CandidateScorer
 
     pruned = 0
-    with obs.span(obs_names.FACILITY_SEARCH, batch=batch), CandidateScorer(
-        instance, targets_n, backend=backend, workers=workers,
+    with obs.span(obs_names.PLACEMENT_SEARCH, batch=batch), CandidateScorer(
+        instance, targets, backend=backend, workers=workers,
         chunk_words=chunk_words,
     ) as scorer:
         seed_per: List[int] = []
@@ -301,7 +357,7 @@ def multiswap_refine(
             )[0]
 
         def key_of(per: Sequence[int]) -> Tuple[float, ...]:
-            weighted = sum(w * m for (_g, _p, w), m in zip(targets_n, per))
+            weighted = sum(w * m for (_g, _p, w), m in zip(targets, per))
             if objective == "minimax":
                 worst = max(
                     (_ratio(m, s) for m, s in zip(per, seed_per)),
@@ -313,26 +369,26 @@ def multiswap_refine(
         cur_starts = _placed_starts(instance, ids, gap_vec)
         cur_per = scorer.score_per([cur_starts])[0]
         cur_key = key_of(cur_per)
-        cur_load = _max_set_load(instance, cur_starts, hot_ids, cap_geom, cap_sets)
+        cur_load = load_of(cur_starts)
         trajectory: List[float] = [cur_key[0]]
-        moves = _gen_moves(
-            instance, ranked, triangles, hot, gap_budget, n_obj
-        )
-        # continuous sweep, swap_refine style: improvements apply in place
-        # and the sweep keeps going — regenerating the move list after
-        # every accepted move would burn the eval budget re-scoring the
-        # unimproving head of the list each time
+        # continuous sweep: improvements apply in place and the sweep keeps
+        # going — restarting from the head after every accepted move would
+        # burn the eval budget re-scoring the unimproving head of the list
         improved = True
         while improved and scorer.evals < budget:
             improved = False
             pos_of = {oid: p for p, oid in enumerate(ids)}
+            # inverses of the gap moves accepted this sweep: states just left
+            skip: Set[_Move] = set()
             pos = 0
-            while pos < len(moves) and scorer.evals < budget:
+            while pos < len(move_list) and scorer.evals < budget:
                 cands: List[Tuple[_Move, List[int], np.ndarray, np.ndarray, int]] = []
                 room = min(batch, budget - scorer.evals)
-                while pos < len(moves) and len(cands) < room:
-                    move = moves[pos]
+                while pos < len(move_list) and len(cands) < room:
+                    move = move_list[pos]
                     pos += 1
+                    if move in skip:
+                        continue
                     out = _apply_move(
                         move, ids, gap_vec, pos_of, gap_total, gap_budget
                     )
@@ -340,15 +396,10 @@ def multiswap_refine(
                         continue
                     new_ids, new_gap = out
                     starts = _placed_starts(instance, new_ids, new_gap)
-                    if cap_sets > 1:
-                        load = _max_set_load(
-                            instance, starts, hot_ids, cap_geom, cap_sets
-                        )
-                        if load > max(cap_ways, cur_load):
-                            pruned += 1
-                            continue
-                    else:
-                        load = cur_load
+                    load = load_of(starts)
+                    if load > max(cap_ways, cur_load):
+                        pruned += 1
+                        continue
                     cands.append((move, new_ids, new_gap, starts, load))
                 if not cands:
                     continue
@@ -361,10 +412,10 @@ def multiswap_refine(
                     if key < best_key:  # strict: ties keep the earlier state
                         best_k, best_key, best_per = k, key, per
                 if best_k >= 0:
-                    move, ids, new_gap, _starts, cur_load = cands[best_k]
+                    move, ids, gap_vec, _starts, cur_load = cands[best_k]
                     if move[0] == "gap":
                         gap_total += move[2]
-                    gap_vec = new_gap
+                        skip.add(("gap", move[1], -move[2]))
                     cur_key, cur_per = best_key, best_per
                     pos_of = {oid: p for p, oid in enumerate(ids)}
                     improved = True
@@ -384,17 +435,34 @@ def multiswap_refine(
         for oid, g in enumerate(gap_vec.tolist())
         if g
     }
-    cost = float(sum(w * m for (_g, _p, w), m in zip(targets_n, cur_per)))
+    cost = float(sum(w * m for (_g, _p, w), m in zip(targets, cur_per)))
     return [instance.objects[oid] for oid in ids], out_gaps, cost, stats
+
+
+def _greedy_start(
+    instance: PlacementInstance,
+    targets: Sequence[PlacementTarget],
+    window: int,
+    weights: Optional[Dict[Tuple[int, int], float]] = None,
+) -> Tuple[Dict[Tuple[int, int], float], List[ObjectKey]]:
+    """The conflict weights (built at ``window`` unless given) and the
+    greedy-color start order for the primary target — the set-up every
+    search strategy shares."""
+    if weights is None:
+        weights = conflict_graph(instance, window=window)
+    geometry, policy, _w = _primary_target(targets)
+    start = greedy_color_order(
+        instance, geometry, policy=policy, window=window, weights=weights
+    )
+    return weights, start
 
 
 def smoothed_search(
     instance: PlacementInstance,
-    geometry: Optional[CacheGeometry] = None,
-    policy: str = "direct",
+    targets: Sequence[PlacementTarget],
+    *,
     window: int = 8,
     budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
     gap_budget: int = 0,
     batch: int = 1,
     backend: Optional[str] = None,
@@ -402,15 +470,15 @@ def smoothed_search(
     restarts: int = 4,
     noise: float = 0.25,
     seed: int = 0,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
-    """Multi-restart :func:`multiswap_refine` with seeded noise on the
-    conflict-graph edge weights (smoothed-analysis style).
+) -> SearchResult:
+    """Multi-restart :data:`MULTISWAP` :func:`local_search` with seeded
+    noise on the conflict-graph edge weights (smoothed-analysis style).
 
     Restart ``r`` scales every edge weight by an independent uniform draw
     from ``[1 - noise, 1 + noise]`` (restart 0 stays unperturbed), rebuilds
     the greedy start order and the move ranking from the perturbed graph,
-    and runs :func:`multiswap_refine` with ``budget // restarts`` evals.
-    The perturbation never touches the objective: every candidate is still
+    and runs the search with ``budget // restarts`` evals.  The
+    perturbation never touches the objective: every candidate is still
     scored by the exact remap cost model, so the winner across restarts —
     picked by that unperturbed objective — is a real improvement or the
     unperturbed restart itself.  ``seed`` fixes the whole noise stream
@@ -423,17 +491,11 @@ def smoothed_search(
         raise LayoutError(f"restarts must be >= 1, got {restarts}")
     if noise < 0:
         raise LayoutError(f"noise must be >= 0, got {noise}")
-    if targets is None:
-        if geometry is None:
-            raise LayoutError("smoothed_search needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
-    else:
-        targets_n = normalize_targets(targets, block=instance.block)
+    targets = normalize_targets(targets, block=instance.block)
     base_weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
     rng = np.random.default_rng(seed)
     per_budget = max(2, budget // restarts)
-    best: Optional[Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]] = None
+    best: Optional[SearchResult] = None
     total_evals = 0
     for r in range(restarts):
         if r == 0 or noise == 0:
@@ -446,17 +508,15 @@ def smoothed_search(
                 e: w * float(1.0 + noise * (2.0 * rng.random() - 1.0))
                 for e, w in base_weights.items()
             }
-        start = greedy_color_order(
-            instance, pg, policy=pp, window=window, weights=w_r
+        _w, start = _greedy_start(instance, targets, window, weights=w_r)
+        result = local_search(
+            instance, start, targets, moves=MULTISWAP, budget=per_budget,
+            gap_budget=gap_budget, batch=batch, backend=backend,
+            workers=workers, weights=w_r,
         )
-        order, gaps, cost, stats = multiswap_refine(
-            instance, start, window=window, budget=per_budget, weights=w_r,
-            targets=targets_n, gap_budget=gap_budget, batch=batch,
-            backend=backend, workers=workers,
-        )
-        total_evals += stats.evals
-        if best is None or cost < best[2]:
-            best = (order, gaps, cost, stats)
+        total_evals += result[3].evals
+        if best is None or result[2] < best[2]:
+            best = result
     assert best is not None  # restarts >= 1
     obs.add(obs_names.PLACEMENT_RESTARTS, restarts)
     win = best[3]
@@ -469,68 +529,77 @@ def smoothed_search(
 # ----------------------------------------------------------------------
 # registered strategies
 # ----------------------------------------------------------------------
-def _setup(
+def _search_strategy(
     instance: PlacementInstance,
-    geometry: Optional[CacheGeometry],
-    policy: str,
-    targets: Optional[Sequence[PlacementTarget]],
-) -> Optional[List[PlacementTarget]]:
-    """Normalized targets, or ``None`` when every target is fully
-    associative (placement provably cannot matter — skip the search)."""
-    if targets is not None:
-        targets_n = normalize_targets(targets, block=instance.block)
-    else:
-        if geometry is None:
-            raise LayoutError("placement strategy needs a geometry or targets")
-        targets_n = [(geometry, policy, 1.0)]
-    if all(_conflict_sets(g, p) <= 1 for g, p, _w in targets_n):
-        return None
-    return targets_n
-
-
-def _multiswap_strategy(
-    instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", window: int = 8, budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0, batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
+    targets: Sequence[PlacementTarget],
+    *,
+    moves: MoveSet,
+    window: int,
+    budget: int,
+    gap_budget: int,
+    batch: int,
+    backend: Optional[str],
+    workers: Optional[int],
+    **_unused: object,
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _setup(instance, geometry, policy, targets)
-    if targets_n is None:
-        return list(instance.objects), {}
-    weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
-    start = greedy_color_order(
-        instance, pg, policy=pp, window=window, weights=weights
+    """``swap`` / ``multiswap``: one engine run from the greedy start."""
+    weights, start = _greedy_start(instance, targets, window)
+    order, gaps, _cost, _stats = local_search(
+        instance, start, targets, moves=moves, budget=budget,
+        gap_budget=gap_budget, batch=batch, backend=backend, workers=workers,
+        weights=weights,
     )
-    order, gaps, _cost, _stats = multiswap_refine(
-        instance, start, window=window, budget=budget, weights=weights,
-        targets=targets_n, gap_budget=gap_budget, batch=batch,
-        backend=backend, workers=workers,
+    return order, gaps
+
+
+def _minimax_strategy(
+    instance: PlacementInstance,
+    targets: Sequence[PlacementTarget],
+    *,
+    window: int,
+    budget: int,
+    gap_budget: int,
+    batch: int,
+    backend: Optional[str],
+    workers: Optional[int],
+    **_unused: object,
+) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
+    weights, start = _greedy_start(instance, targets, window)
+    # two phases: a weighted-sum warmup drives every target down from the
+    # greedy start (cheap, broad progress), then the minimax objective
+    # spends the rest of the budget on the binding worst-case target —
+    # pure minimax from a cold start burns its budget on moves the harsh
+    # lexicographic acceptance rejects
+    warm = budget // 2
+    order, gaps, _cost, _stats = local_search(
+        instance, start, targets, moves=MULTISWAP, budget=warm,
+        gap_budget=gap_budget, batch=batch, backend=backend, workers=workers,
+        weights=weights,
+    )
+    order, gaps, _cost, _stats = local_search(
+        instance, order, targets, moves=MULTISWAP, objective="minimax",
+        budget=budget - warm, gap_budget=gap_budget, gaps=gaps, batch=batch,
+        backend=backend, workers=workers, weights=weights,
     )
     return order, gaps
 
 
 def _smoothed_strategy(
-    instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", window: int = 8, budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0, batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
+    instance: PlacementInstance,
+    targets: Sequence[PlacementTarget],
+    *,
+    window: int,
+    budget: int,
+    gap_budget: int,
+    batch: int,
+    backend: Optional[str],
+    workers: Optional[int],
+    restarts: Optional[int],
+    noise: Optional[float],
+    seed: Optional[int],
 ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _setup(instance, geometry, policy, targets)
-    if targets_n is None:
-        return list(instance.objects), {}
     order, gaps, _cost, _stats = smoothed_search(
-        instance, window=window, budget=budget, targets=targets_n,
+        instance, targets, window=window, budget=budget,
         gap_budget=gap_budget, batch=batch, backend=backend, workers=workers,
         restarts=4 if restarts is None else restarts,
         noise=0.25 if noise is None else noise,
@@ -539,45 +608,7 @@ def _smoothed_strategy(
     return order, gaps
 
 
-def _minimax_strategy(
-    instance: PlacementInstance, geometry: Optional[CacheGeometry],
-    policy: str = "direct", window: int = 8, budget: int = 400,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0, batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    restarts: Optional[int] = None,
-    noise: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    targets_n = _setup(instance, geometry, policy, targets)
-    if targets_n is None:
-        return list(instance.objects), {}
-    weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
-    start = greedy_color_order(
-        instance, pg, policy=pp, window=window, weights=weights
-    )
-    # two phases: a weighted-sum warmup drives every target down from the
-    # greedy start (cheap, broad progress), then the minimax objective
-    # spends the rest of the budget on the binding worst-case target —
-    # pure minimax from a cold start burns its budget on moves the harsh
-    # lexicographic acceptance rejects
-    warm = budget // 2
-    order, gaps, _cost, _stats = multiswap_refine(
-        instance, start, window=window, budget=warm, weights=weights,
-        targets=targets_n, gap_budget=gap_budget, batch=batch,
-        backend=backend, workers=workers,
-    )
-    order, gaps, _cost, _stats = multiswap_refine(
-        instance, order, window=window, budget=budget - warm,
-        weights=weights, targets=targets_n, gap_budget=gap_budget,
-        gaps=gaps, batch=batch, backend=backend, workers=workers,
-        objective="minimax",
-    )
-    return order, gaps
-
-
-register_placement("multiswap", _multiswap_strategy)
-register_placement("smoothed", _smoothed_strategy)
+register_placement("swap", partial(_search_strategy, moves=SWAP))
+register_placement("multiswap", partial(_search_strategy, moves=MULTISWAP))
 register_placement("minimax", _minimax_strategy)
+register_placement("smoothed", _smoothed_strategy)

@@ -37,11 +37,13 @@ Three ideas make the search cheap and exact:
   graphs): ``"color"`` greedily appends, at each cursor position, the
   unplaced object whose set span conflicts least with what is already
   placed (greedy set-coloring of the conflict graph, scheme-aware under
-  xor-indexed targets); ``"swap"`` refines that order by pairwise-swap
-  local search — interleaved with *gap moves* (±1 block of padding before
-  an object, bounded by ``gap_budget``) — scored with the *true* remap
-  cost model, visiting heavy conflict pairs first.  ``"topo"`` is the seed
-  topological layout, kept as the baseline.
+  xor-indexed targets); ``"topo"`` is the seed topological layout, kept
+  as the baseline.  The search strategies (``"swap"``, ``"multiswap"``,
+  ``"minimax"``, ``"smoothed"``) refine the color order with the one
+  local-search engine in :mod:`repro.mem.facility` — pairwise swaps
+  interleaved with *gap moves* (±1 block of padding before an object,
+  bounded by ``gap_budget``), heavy conflict pairs first, scored with the
+  *true* remap cost model — and register there.
 
 **Multi-geometry objective.**  A7 showed a layout tuned for the
 direct-mapped index can *regress* at 2-way — unacceptable when one binary
@@ -56,7 +58,7 @@ beat layout tuning outright.
 
 :func:`optimize_placement` never returns a placement worse than the seed
 (at any target), so callers can enable it unconditionally.  Wire-up:
-experiments A7/A9, CLI ``schedule --layout {topo,color,swap}
+experiments A7/A9/A12, CLI ``schedule --layout STRATEGY
 [--layout-targets SPEC] [--gap-budget N] [--index-scheme {mod,xor}]``,
 ``benchmarks/bench_placement.py``, and ``examples/layout_tuning.py``.
 """
@@ -72,8 +74,6 @@ from repro.cache.base import CacheGeometry
 from repro.errors import LayoutError
 from repro.graphs.sdf import StreamGraph
 from repro.mem.layout import ObjectKey, layout_objects
-from repro.obs import core as obs
-from repro.obs import names as obs_names
 from repro.runtime.executor import EXT_OUT_SPAN
 
 if TYPE_CHECKING:  # import cycle: the runtime layer sits above repro.mem
@@ -92,7 +92,6 @@ __all__ = [
     "conflict_graph",
     "greedy_color_order",
     "RefineStats",
-    "swap_refine",
     "register_placement",
     "get_placement",
     "available_placements",
@@ -525,8 +524,7 @@ def greedy_color_order(
 
 @dataclass(frozen=True)
 class RefineStats:
-    """Telemetry of one :func:`swap_refine` search — the structured
-    replacement for the bare ``evals`` integer it used to return.
+    """Telemetry of one :func:`repro.mem.facility.local_search` run.
 
     ``trajectory[0]`` is the seed cost; each further point is the best
     cost after one improving round, so ``trajectory[-1]`` equals the
@@ -545,258 +543,6 @@ class RefineStats:
         return self.evals
 
 
-def _batched_refine(
-    instance: PlacementInstance,
-    scorer: object,
-    ids: List[int],
-    gap_vec: np.ndarray,
-    ranked: Sequence[Tuple[int, int]],
-    hot: Sequence[int],
-    gap_budget: int,
-    gap_total: int,
-    cost: float,
-    evals: int,
-    budget: int,
-    batch: int,
-    trajectory: List[float],
-) -> Tuple[float, int]:
-    """Steepest-descent-within-batch local search (``swap_refine(batch>1)``).
-
-    Enumerates every move legal in the *current* state (ranked swaps, then
-    ±1 gap moves), scores ``batch`` of them at a time through ``scorer``
-    (which may fan over a process pool), applies the best improving one,
-    and regenerates the move list.  Deterministic in ``batch`` alone: the
-    scorer is bit-identical across backends, candidate order is fixed, and
-    ties break to the earliest candidate — so the trajectory, final state,
-    and evaluation count never depend on where scoring ran.  Mutates
-    ``ids``/``gap_vec`` in place and appends each improving round's cost
-    to ``trajectory``; returns ``(cost, evals)``.
-    """
-    pos_of = {oid: p for p, oid in enumerate(ids)}
-    improved = True
-    while improved and evals < budget:
-        improved = False
-        moves: List[Tuple[str, int, int]] = []
-        for a, b in ranked:
-            if instance.nblocks[a] == 0 and instance.nblocks[b] == 0:
-                continue  # zero-length objects own no blocks: swap is a no-op
-            moves.append(("swap", a, b))
-        if gap_budget:
-            for oid in hot:
-                if gap_total < gap_budget:
-                    moves.append(("gap", oid, 1))
-                if gap_vec[oid] > 0:
-                    moves.append(("gap", oid, -1))
-        pos = 0
-        while pos < len(moves) and evals < budget:
-            chunk = moves[pos:pos + batch][: budget - evals]
-            pos += len(chunk)
-            starts_list: List[np.ndarray] = []
-            for kind, x, y in chunk:
-                if kind == "swap":
-                    i, j = pos_of[x], pos_of[y]
-                    ids[i], ids[j] = ids[j], ids[i]
-                    starts_list.append(_placed_starts(instance, ids, gap_vec))
-                    ids[i], ids[j] = ids[j], ids[i]
-                else:
-                    gap_vec[x] += y
-                    starts_list.append(_placed_starts(instance, ids, gap_vec))
-                    gap_vec[x] -= y
-            costs = scorer.score(starts_list)  # type: ignore[attr-defined]
-            evals += len(chunk)
-            best_k = -1
-            best_c = cost
-            for k, c in enumerate(costs):
-                if c < best_c:  # strict: ties keep the earlier candidate
-                    best_k, best_c = k, c
-            if best_k >= 0:
-                kind, x, y = chunk[best_k]
-                if kind == "swap":
-                    i, j = pos_of[x], pos_of[y]
-                    ids[i], ids[j] = ids[j], ids[i]
-                    pos_of[x], pos_of[y] = j, i
-                else:
-                    gap_vec[x] += y
-                    gap_total += y
-                cost = best_c
-                improved = True
-                break  # state changed: regenerate the move list
-        if improved:
-            trajectory.append(cost)
-    return cost, evals
-
-
-def swap_refine(
-    instance: PlacementInstance,
-    order: Sequence[ObjectKey],
-    geometry: Optional[CacheGeometry] = None,
-    policy: str = "direct",
-    window: int = 8,
-    budget: int = 400,
-    weights: Optional[Dict[Tuple[int, int], float]] = None,
-    targets: Optional[Sequence[PlacementTarget]] = None,
-    gap_budget: int = 0,
-    gaps: Optional[Dict[ObjectKey, int]] = None,
-    batch: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    chunk_words: Optional[int] = None,
-) -> Tuple[List[ObjectKey], Dict[ObjectKey, int], float, RefineStats]:
-    """FLIP-style local search over (order, gaps) on the true remap cost.
-
-    Starting from ``order`` (and optionally ``gaps``), repeatedly try two
-    move kinds and keep any that lowers the objective — the actual miss
-    count at ``(geometry, policy)``, or the weighted miss sum over
-    ``targets`` when given (the exact cost model either way, so accepted
-    moves are real improvements, never estimator noise):
-
-    * **swaps** of two objects' positions, visited heaviest conflict edge
-      first — on sparse conflict graphs most of the gain lives in a few
-      hot pairs — then every remaining pair for completeness;
-    * **gap moves** (when ``gap_budget > 0``): ±1 block of deliberate
-      padding before an object, hottest objects first, with the total gap
-      block count never exceeding ``gap_budget`` (the address-space
-      budget).
-
-    The search stops at a local optimum or after ``budget`` cost
-    evaluations.  Returns ``(order, gaps, cost, stats)``; ``gaps`` maps
-    object keys to their padding in blocks (zero entries omitted), and
-    ``stats`` is a :class:`RefineStats` carrying the evaluation count, the
-    number of improving rounds, and the per-round best-cost trajectory
-    (``int(stats)`` recovers the old bare ``evals``).  The same telemetry
-    is recorded as obs metrics when :mod:`repro.obs` is enabled.
-
-    **Parallel scoring.**  ``batch > 1`` switches to steepest-descent over
-    batches: the next ``batch`` untried moves are scored together (through
-    a :class:`repro.runtime.backend.CandidateScorer`, which ships the remap
-    arrays to a process pool once via shared memory when
-    ``backend="process"``) and the best improving one is applied.  The
-    search *trajectory* depends only on ``batch`` — never on ``backend`` or
-    ``workers``, which only choose where candidate scoring runs — so serial
-    and process runs of the same ``batch`` return identical placements at
-    an identical evaluation count, and the process pool buys pure
-    wall-time.  ``batch=1`` (default) is the historical first-improvement
-    loop, unchanged.  ``chunk_words`` scores candidates through the
-    chunked replay — the counts are bit-identical, so the trajectory
-    (and :class:`RefineStats`) is byte-for-byte the monolithic one at equal
-    ``batch``; ``tests/test_streaming.py`` pins exactly that.
-    """
-    if gap_budget < 0:
-        raise LayoutError(f"gap_budget must be >= 0, got {gap_budget}")
-    if targets is None:
-        if geometry is None:
-            raise LayoutError("swap_refine needs a geometry or explicit targets")
-        targets_n = [(geometry, policy, 1.0)]
-    else:
-        targets_n = normalize_targets(targets, block=instance.block)
-    if weights is None:
-        weights = conflict_graph(instance, window=window)
-    ids = _order_ids(instance, order)
-    gap_vec = _gap_vector(instance, gaps)
-    if gap_vec is None:
-        gap_vec = np.zeros(instance.n_objects, dtype=np.int64)
-    gap_total = int(gap_vec.sum())
-    if gap_total > gap_budget:
-        raise LayoutError(
-            f"starting gaps use {gap_total} blocks, over gap_budget={gap_budget}"
-        )
-    pos_of = {oid: p for p, oid in enumerate(ids)}
-    n_obj = instance.n_objects
-    # heavy conflict pairs first, then every remaining pair for completeness
-    ranked = sorted(weights, key=lambda e: (-weights[e], e))
-    seen = set(ranked)
-    ranked += [
-        (a, b) for a in range(n_obj) for b in range(a + 1, n_obj)
-        if (a, b) not in seen
-    ]
-    # gap moves visit hot (high conflict degree) objects first
-    degree = [0.0] * n_obj
-    for (a, b), w in weights.items():
-        degree[a] += w
-        degree[b] += w
-    hot = sorted(range(n_obj), key=lambda o: (-degree[o], o))
-
-    if batch < 1:
-        raise LayoutError(f"batch must be >= 1, got {batch}")
-    from repro.runtime.backend import CandidateScorer
-
-    with obs.span(obs_names.PLACEMENT_SEARCH, batch=batch), CandidateScorer(
-        instance, targets_n, backend=backend, workers=workers,
-        chunk_words=chunk_words,
-    ) as scorer:
-
-        def cost_of() -> float:
-            return scorer.score([_placed_starts(instance, ids, gap_vec)])[0]
-
-        cost = cost_of()
-        evals = 1
-        trajectory: List[float] = [cost]
-        if batch > 1:
-            cost, evals = _batched_refine(
-                instance, scorer, ids, gap_vec, ranked, hot,
-                gap_budget, gap_total, cost, evals, budget, batch, trajectory,
-            )
-        else:
-            improved = True
-            while improved and evals < budget:
-                improved = False
-                for a, b in ranked:
-                    if evals >= budget:
-                        break
-                    if instance.nblocks[a] == 0 and instance.nblocks[b] == 0:
-                        continue  # zero-length objects own no blocks: no-op
-                    i, j = pos_of[a], pos_of[b]
-                    ids[i], ids[j] = ids[j], ids[i]
-                    trial = cost_of()
-                    evals += 1
-                    if trial < cost:
-                        cost = trial
-                        pos_of[a], pos_of[b] = j, i
-                        improved = True
-                    else:
-                        ids[i], ids[j] = ids[j], ids[i]
-                if gap_budget:
-                    for oid in hot:
-                        if evals >= budget:
-                            break
-                        for delta in (1, -1):
-                            if delta > 0 and gap_total >= gap_budget:
-                                continue
-                            if delta < 0 and gap_vec[oid] == 0:
-                                continue
-                            gap_vec[oid] += delta
-                            trial = cost_of()
-                            evals += 1
-                            if trial < cost:
-                                cost = trial
-                                gap_total += delta
-                                improved = True
-                                break  # opposite delta re-tests the state left
-                            gap_vec[oid] -= delta
-                            if evals >= budget:
-                                break
-                if improved:
-                    trajectory.append(cost)
-        # the scorer counts every candidate it ever evaluated (gap moves
-        # and batched chunks included), so the reported evals can never
-        # drift from the actual number of cost-model invocations — the
-        # "equal eval budget" comparisons in A12/bench_placement gate on it
-        evals = scorer.evals
-    stats = RefineStats(
-        evals=evals, rounds=len(trajectory) - 1, trajectory=tuple(trajectory)
-    )
-    obs.add(obs_names.PLACEMENT_EVALS, stats.evals)
-    obs.add(obs_names.PLACEMENT_ROUNDS, stats.rounds)
-    for point in stats.trajectory:
-        obs.series(obs_names.PLACEMENT_COST, point)
-    out_gaps = {
-        instance.objects[oid]: int(g)
-        for oid, g in enumerate(gap_vec.tolist())
-        if g
-    }
-    return [instance.objects[oid] for oid in ids], out_gaps, cost, stats
-
-
 # ----------------------------------------------------------------------
 # strategy registry
 # ----------------------------------------------------------------------
@@ -804,16 +550,19 @@ _STRATEGIES: Dict[str, Callable] = {}
 
 
 def register_placement(name: str, fn: Callable) -> None:
-    """Register a placement strategy: ``fn(instance, geometry, policy=...,
-    window=..., budget=..., targets=..., gap_budget=..., batch=...,
-    backend=..., workers=..., restarts=..., noise=..., seed=...) ->
-    (order, gaps)`` (a full object placement plus a per-object gap map,
-    possibly empty).  ``batch``/``backend``/``workers`` only parallelize
-    scoring and must not change the returned placement;
-    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart
-    search (:mod:`repro.mem.facility`) and are ``None`` for strategies
-    that ignore them — a given (strategy, knobs) pair must always return
-    the same placement (seeded determinism, pinned in CI)."""
+    """Register a placement strategy: ``fn(instance, targets, window=...,
+    budget=..., gap_budget=..., batch=..., backend=..., workers=...,
+    restarts=..., noise=..., seed=...) -> (order, gaps)`` (a full object
+    placement plus a per-object gap map, possibly empty).  ``targets`` is
+    the normalized objective, never fully associative everywhere
+    (:func:`optimize_instance` resolves both before dispatch); every knob
+    arrives by keyword and a strategy ignores the ones it does not use.
+    ``backend``/``workers`` only choose where scoring runs and must not
+    change the returned placement; ``restarts``/``noise``/``seed`` drive
+    the smoothed multi-restart search (:mod:`repro.mem.facility`) and are
+    ``None`` unless the caller set them — a given (strategy, knobs) pair
+    must always return the same placement (seeded determinism, pinned in
+    CI)."""
     _STRATEGIES[name] = fn
 
 
@@ -831,71 +580,27 @@ def available_placements() -> Tuple[str, ...]:
     return tuple(sorted(_STRATEGIES))
 
 
-def _topo_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                   policy: str = "direct", window: int = 8, budget: int = 400,
-                   targets: Optional[Sequence[PlacementTarget]] = None,
-                   gap_budget: int = 0, batch: int = 1,
-                   backend: Optional[str] = None,
-                   workers: Optional[int] = None,
-                   restarts: Optional[int] = None,
-                   noise: Optional[float] = None,
-                   seed: Optional[int] = None,
-                   ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
+def _topo_strategy(
+    instance: PlacementInstance,
+    targets: Sequence[PlacementTarget],
+    **_unused: object,
+) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
     return list(instance.objects), {}
 
 
-def _color_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                    policy: str = "direct", window: int = 8, budget: int = 400,
-                    targets: Optional[Sequence[PlacementTarget]] = None,
-                    gap_budget: int = 0, batch: int = 1,
-                    backend: Optional[str] = None,
-                    workers: Optional[int] = None,
-                    restarts: Optional[int] = None,
-                    noise: Optional[float] = None,
-                    seed: Optional[int] = None,
-                    ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    if targets:
-        geometry, policy, _w = _primary_target(
-            normalize_targets(targets, block=instance.block)
-        )
+def _color_strategy(
+    instance: PlacementInstance,
+    targets: Sequence[PlacementTarget],
+    *,
+    window: int,
+    **_unused: object,
+) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
+    geometry, policy, _w = _primary_target(targets)
     return greedy_color_order(instance, geometry, policy=policy, window=window), {}
-
-
-def _swap_strategy(instance: PlacementInstance, geometry: CacheGeometry,
-                   policy: str = "direct", window: int = 8, budget: int = 400,
-                   targets: Optional[Sequence[PlacementTarget]] = None,
-                   gap_budget: int = 0, batch: int = 1,
-                   backend: Optional[str] = None,
-                   workers: Optional[int] = None,
-                   restarts: Optional[int] = None,
-                   noise: Optional[float] = None,
-                   seed: Optional[int] = None,
-                   ) -> Tuple[List[ObjectKey], Dict[ObjectKey, int]]:
-    if targets:
-        targets_n = normalize_targets(targets, block=instance.block)
-    else:
-        targets_n = [(geometry, policy, 1.0)]
-    if all(_conflict_sets(g, p) <= 1 for g, p, _w in targets_n):
-        # fully associative everywhere: misses are provably placement-
-        # invariant, so burning the budget on full-trace replays cannot
-        # ever improve
-        return list(instance.objects), {}
-    weights = conflict_graph(instance, window=window)
-    pg, pp, _w = _primary_target(targets_n)
-    start = greedy_color_order(
-        instance, pg, policy=pp, window=window, weights=weights
-    )
-    order, gaps, _, _ = swap_refine(
-        instance, start, window=window, budget=budget, weights=weights,
-        targets=targets_n, gap_budget=gap_budget, batch=batch,
-        backend=backend, workers=workers,
-    )
-    return order, gaps
 
 
 register_placement("topo", _topo_strategy)
 register_placement("color", _color_strategy)
-register_placement("swap", _swap_strategy)
 
 
 # ----------------------------------------------------------------------
@@ -961,10 +666,11 @@ def optimize_instance(
     (the A7 cross-geometry failure mode) is discarded for the seed layout.
 
     ``batch``/``backend``/``workers`` parallelize candidate scoring (see
-    :func:`swap_refine`): the returned placement depends only on ``batch``,
-    never on where scoring ran.  ``restarts``/``noise``/``seed`` drive the
-    smoothed multi-restart search (:mod:`repro.mem.facility`); strategies
-    that do not restart ignore them.
+    :func:`repro.mem.facility.local_search`): the returned placement
+    depends only on ``batch``, never on where scoring ran.
+    ``restarts``/``noise``/``seed`` drive the smoothed multi-restart search
+    (:mod:`repro.mem.facility`); strategies that do not restart ignore
+    them.
     """
     if targets is not None:
         targets_n = normalize_targets(targets, block=instance.block)
@@ -976,13 +682,17 @@ def optimize_instance(
     seed_order = list(instance.objects)
     seed_per = _target_misses(remap_blocks(instance, seed_order), targets_n)
     seed_cost = sum(w * m for (_, _, w), m in zip(targets_n, seed_per))
-    out = fn(
-        instance, geometry, policy=policy, window=window, budget=budget,
-        targets=targets if targets is not None else None, gap_budget=gap_budget,
-        batch=batch, backend=backend, workers=workers,
-        restarts=restarts, noise=noise, seed=seed,
-    )
-    order, gaps = out
+    if all(_conflict_sets(g, p) <= 1 for g, p, _w in targets_n):
+        # fully associative everywhere: misses are provably placement-
+        # invariant, so no strategy can improve on the seed and a search
+        # would only burn its budget on full-trace replays
+        order, gaps = seed_order, {}
+    else:
+        order, gaps = fn(
+            instance, targets_n, window=window, budget=budget,
+            gap_budget=gap_budget, batch=batch, backend=backend,
+            workers=workers, restarts=restarts, noise=noise, seed=seed,
+        )
     per = _target_misses(remap_blocks(instance, order, gaps=gaps), targets_n)
     cost = sum(w * m for (_, _, w), m in zip(targets_n, per))
     if cost > seed_cost or any(c > s for c, s in zip(per, seed_per)):

@@ -44,10 +44,8 @@ REPLAY = "replay"
 BACKEND_MAP = "backend.map"
 #: one `run_batch` front-door invocation
 BATCH = "run_batch"
-#: one `swap_refine` local search (attr ``batch=``)
+#: one `local_search` placement search run (attr ``batch=``)
 PLACEMENT_SEARCH = "placement.search"
-#: one `multiswap_refine` facility-location local search (attr ``k=``)
-FACILITY_SEARCH = "placement.facility"
 #: one chunked out-of-core compilation (`compile_trace_chunked`)
 STREAM_COMPILE = "stream.compile"
 #: one streaming replay over a chunk source (attr ``policy=``)
@@ -81,14 +79,15 @@ BACKEND_TASKS = "backend.tasks"
 #: process-pool replays that broke (dead worker, OS error, unpicklable
 #: task) and reran in-process with the identical answer
 BACKEND_FALLBACKS = "backend.fallbacks"
-#: candidate layouts scored by `swap_refine`
+#: candidate layouts scored by `local_search`
 PLACEMENT_EVALS = "placement.evals"
-#: improvement rounds taken by `swap_refine`
+#: improvement rounds taken by `local_search`
 PLACEMENT_ROUNDS = "placement.rounds"
 #: smoothed-search restarts actually run (`smoothed` strategy)
 PLACEMENT_RESTARTS = "placement.restarts"
 #: candidate moves rejected by the per-set capacity constraint before
-#: scoring (`multiswap_refine` — pruned moves never consume evals)
+#: scoring (`local_search` with the `MULTISWAP` move set — pruned moves
+#: never consume evals)
 PLACEMENT_PRUNED = "placement.pruned"
 #: trace chunks produced by chunked compilation / consumed by replay
 STREAM_CHUNKS = "stream.chunks"
@@ -102,7 +101,7 @@ STREAM_RECOMPILED = "stream.segments_recompiled"
 BACKEND_WIDTH = "backend.width"
 
 # --------------------------------------------------------------- series
-#: best cost after each `swap_refine` round (index 0 = seed cost)
+#: best cost after each `local_search` round (index 0 = seed cost)
 PLACEMENT_COST = "placement.cost"
 
 

@@ -30,7 +30,8 @@ from repro.cache.hierarchy import TwoLevelGeometry
 from repro.core.baselines import interleaved_schedule
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
-from repro.mem.placement import build_instance, normalize_targets, swap_refine
+from repro.mem.facility import SWAP, local_search
+from repro.mem.placement import build_instance, normalize_targets
 from repro.runtime import backend as backend_mod
 from repro.runtime.backend import (
     BACKENDS,
@@ -334,19 +335,21 @@ class TestCandidateScorer:
     def test_serial_and_process_scores_agree(self, instance, targets):
         cands = self._candidates(instance)
         with CandidateScorer(instance, targets, backend="serial") as serial:
-            want = serial.score(cands)
+            want = serial.score_per(cands)
         with CandidateScorer(
             instance, targets, backend="process", workers=2
         ) as proc:
-            got = proc.score(cands)
+            got = proc.score_per(cands)
         assert got == want
-        assert all(isinstance(c, float) for c in want)
+        assert all(len(per) == len(targets) for per in want)
 
     def test_swap_refine_trajectory_is_backend_invariant(self, instance, targets):
         order = list(instance.objects)
-        kw = dict(targets=targets, budget=40, batch=4, gap_budget=2)
-        serial = swap_refine(instance, order, backend="serial", **kw)
-        proc = swap_refine(instance, order, backend="process", workers=2, **kw)
+        kw = dict(moves=SWAP, budget=40, batch=4, gap_budget=2)
+        serial = local_search(instance, order, targets, backend="serial", **kw)
+        proc = local_search(
+            instance, order, targets, backend="process", workers=2, **kw
+        )
         s_order, s_gaps, s_cost, s_evals = serial
         p_order, p_gaps, p_cost, p_evals = proc
         assert p_order == s_order
@@ -364,8 +367,8 @@ class TestCandidateScorer:
                 targets, placement_costs(instance, order, targets)
             )
         )
-        _o, _g, cost, _e = swap_refine(
-            instance, order, targets=targets, budget=40, batch=3
+        _o, _g, cost, _e = local_search(
+            instance, order, targets, moves=SWAP, budget=40, batch=3
         )
         assert cost <= seed_cost
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
@@ -182,6 +184,19 @@ class TestCliPlacementSurface:
 
         args = build_parser().parse_args(["experiment", "a9"])
         assert args.id == "a9"
+
+    def test_layout_choices_are_the_registered_strategies(self):
+        from repro.cli import build_parser
+        from repro.mem.placement import available_placements
+
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        layout = next(
+            a for a in sub.choices["schedule"]._actions if a.dest == "layout"
+        )
+        assert tuple(layout.choices) == available_placements()
 
 
 class TestCliExtended:

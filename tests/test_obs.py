@@ -502,15 +502,17 @@ class TestCrossBackendAggregation:
         from repro.cache.base import CacheGeometry
         from repro.core.baselines import interleaved_schedule
         from repro.graphs.apps import fm_radio
-        from repro.mem.placement import build_instance, swap_refine
+        from repro.mem.facility import SWAP, local_search
+        from repro.mem.placement import build_instance
 
         g = fm_radio()
         sched = interleaved_schedule(g, n_iterations=1)
         instance = build_instance(g, sched, 8)
         geom = CacheGeometry(size=16 * 8, block=8)
         with obs.capture(enabled=True) as cap:
-            _order, _gaps, cost, stats = swap_refine(
-                instance, list(instance.objects), geom, budget=20
+            _order, _gaps, cost, stats = local_search(
+                instance, list(instance.objects), [(geom, "direct", 1.0)],
+                moves=SWAP, budget=20,
             )
         counters = cap.snapshot["counters"]
         assert counters[obs_names.PLACEMENT_EVALS] == stats.evals

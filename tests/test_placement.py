@@ -27,7 +27,7 @@ from repro.core.baselines import single_appearance_schedule
 from repro.errors import LayoutError
 from repro.graphs.minbuf import min_buffers
 from repro.graphs.topologies import diamond, pipeline
-from repro.mem.facility import multiswap_refine, smoothed_search
+from repro.mem.facility import MULTISWAP, SWAP, local_search, smoothed_search
 from repro.mem.layout import MemoryLayout, layout_objects
 from repro.mem.placement import (
     available_placements,
@@ -42,7 +42,6 @@ from repro.mem.placement import (
     placement_costs,
     remap_blocks,
     remap_trace,
-    swap_refine,
 )
 from repro.runtime.compiled import compile_trace, simulate_trace
 from repro.runtime.executor import Executor
@@ -331,8 +330,50 @@ class TestStrategies:
         assert greedy_color_order(inst, geom, policy="lru") == list(inst.objects)
         # swap must short-circuit too: placement cannot change FA misses,
         # so the search budget is pure waste there
-        order, gaps = get_placement("swap")(inst, geom, policy="lru")
-        assert order == list(inst.objects) and gaps == {}
+        from repro.obs import names as obs_names
+
+        with obs.capture(enabled=True) as cap:
+            res = optimize_instance(inst, geom, strategy="swap", policy="lru")
+        assert res.order == list(inst.objects) and res.gaps == {}
+        assert cap.snapshot["counters"].get(obs_names.PLACEMENT_EVALS, 0) == 0
+
+    @pytest.mark.parametrize("strategy", ["swap", "multiswap", "minimax", "smoothed"])
+    def test_fully_associative_primary_target_searches(self, strategy):
+        # the heaviest target is fully associative but the other is not, so
+        # no short-circuit fires and the search runs with a primary target
+        # that has no sets (and no ways to cap a set's load with)
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        fa = CacheGeometry(size=16 * B, block=B)
+        direct = CacheGeometry(size=16 * B, block=B, ways=1)
+        targets = [(fa, "lru", 2.0), (direct, "direct", 1.0)]
+        res = optimize_instance(
+            inst, strategy=strategy, targets=targets, budget=30, gap_budget=2
+        )
+        assert sorted(res.order) == sorted(inst.objects)
+        seed = list(inst.objects)
+        assert placement_cost(
+            inst, res.order, fa, policy="lru", gaps=res.gaps
+        ) == placement_cost(inst, seed, fa, policy="lru")
+        assert placement_cost(
+            inst, res.order, direct, policy="direct", gaps=res.gaps
+        ) <= placement_cost(inst, seed, direct, policy="direct")
+
+    @pytest.mark.parametrize("moves", [SWAP, MULTISWAP], ids=["swap", "multiswap"])
+    def test_local_search_on_a_fully_associative_target(self, moves):
+        # called directly, the engine must score a fully associative target
+        # (layout cannot change its misses, so nothing strictly improves)
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        fa = CacheGeometry(size=16 * B, block=B)
+        start = list(inst.objects)
+        order, gaps, cost, stats = local_search(
+            inst, start, [(fa, "lru", 1.0)], moves=moves, budget=20,
+            gap_budget=2,
+        )
+        assert order == start and gaps == {}
+        assert cost == placement_cost(inst, start, fa, policy="lru")
+        assert stats.rounds == 0 and 1 <= stats.evals <= 20
 
     def test_swap_refine_monotone_and_budgeted(self):
         g, sched = small_workload()
@@ -340,8 +381,8 @@ class TestStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
         start_cost = placement_cost(inst, start, geom, policy="direct")
-        order, gaps, cost, stats = swap_refine(
-            inst, start, geom, policy="direct", budget=50
+        order, gaps, cost, stats = local_search(
+            inst, start, [(geom, "direct", 1.0)], moves=SWAP, budget=50
         )
         assert cost <= start_cost
         assert stats.evals <= 50 and int(stats) == stats.evals
@@ -359,8 +400,9 @@ class TestStrategies:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
-        order, gaps, cost, _ = swap_refine(
-            inst, start, geom, policy="direct", budget=200, gap_budget=3
+        order, gaps, cost, _ = local_search(
+            inst, start, [(geom, "direct", 1.0)], moves=SWAP, budget=200,
+            gap_budget=3,
         )
         assert sum(gaps.values()) <= 3
         assert all(g > 0 for g in gaps.values())
@@ -371,15 +413,21 @@ class TestStrategies:
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
+        target = [(geom, "direct", 1.0)]
         with pytest.raises(LayoutError, match="gap_budget"):
-            swap_refine(inst, list(inst.objects), geom, gap_budget=-1)
-        with pytest.raises(LayoutError, match="over gap_budget"):
-            swap_refine(
-                inst, list(inst.objects), geom, gap_budget=1,
-                gaps={inst.objects[0]: 2},
+            local_search(
+                inst, list(inst.objects), target, moves=SWAP, budget=10,
+                gap_budget=-1,
             )
-        with pytest.raises(LayoutError, match="geometry or explicit targets"):
-            swap_refine(inst, list(inst.objects))
+        with pytest.raises(LayoutError, match="over gap_budget"):
+            local_search(
+                inst, list(inst.objects), target, moves=SWAP, budget=10,
+                gap_budget=1, gaps={inst.objects[0]: 2},
+            )
+        with pytest.raises(LayoutError, match="at least one"):
+            local_search(inst, list(inst.objects), [], moves=SWAP, budget=10)
+        with pytest.raises(LayoutError, match="geometry or targets"):
+            optimize_instance(inst, strategy="swap")
 
     def test_optimizer_never_worse_than_seed(self):
         g, sched = small_workload()
@@ -655,8 +703,8 @@ class TestFacilityStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
         start_cost = placement_cost(inst, start, geom, policy="direct")
-        order, gaps, cost, stats = multiswap_refine(
-            inst, start, geom, policy="direct", budget=80
+        order, gaps, cost, stats = local_search(
+            inst, start, [(geom, "direct", 1.0)], moves=MULTISWAP, budget=80
         )
         assert cost <= start_cost
         assert cost == placement_cost(inst, order, geom, policy="direct", gaps=gaps)
@@ -668,23 +716,28 @@ class TestFacilityStrategies:
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
+        order = list(inst.objects)
+        target = [(geom, "direct", 1.0)]
         with pytest.raises(LayoutError, match="gap_budget"):
-            multiswap_refine(inst, list(inst.objects), geom, gap_budget=-1)
+            local_search(inst, order, target, moves=MULTISWAP, budget=10, gap_budget=-1)
         with pytest.raises(LayoutError, match="batch"):
-            multiswap_refine(inst, list(inst.objects), geom, batch=0)
+            local_search(inst, order, target, moves=MULTISWAP, budget=10, batch=0)
         with pytest.raises(LayoutError, match="objective"):
-            multiswap_refine(inst, list(inst.objects), geom, objective="max")
+            local_search(
+                inst, order, target, moves=MULTISWAP, budget=10, objective="max"
+            )
         with pytest.raises(LayoutError, match="geometry or targets"):
-            multiswap_refine(inst, list(inst.objects))
+            optimize_instance(inst, strategy="multiswap")
 
     def test_smoothed_validation(self):
         g, sched = small_workload()
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
+        target = [(geom, "direct", 1.0)]
         with pytest.raises(LayoutError, match="restarts"):
-            smoothed_search(inst, geom, restarts=0)
+            smoothed_search(inst, target, restarts=0)
         with pytest.raises(LayoutError, match="noise"):
-            smoothed_search(inst, geom, noise=-0.1)
+            smoothed_search(inst, target, noise=-0.1)
 
     def test_smoothed_same_seed_is_deterministic(self):
         # the CI determinism pin: identical seed => bit-identical layout
@@ -707,7 +760,8 @@ class TestFacilityStrategies:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         _o, _g, cost, stats = smoothed_search(
-            inst, geom, policy="direct", budget=60, restarts=3, noise=0.5, seed=0
+            inst, [(geom, "direct", 1.0)], budget=60, restarts=3, noise=0.5,
+            seed=0,
         )
         assert stats.evals <= 60
         assert cost <= placement_cost(
@@ -721,8 +775,9 @@ class TestFacilityStrategies:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         with obs.capture(enabled=True) as cap:
-            _o, _g, _c, stats = multiswap_refine(
-                inst, list(inst.objects), geom, policy="direct", budget=40
+            _o, _g, _c, stats = local_search(
+                inst, list(inst.objects), [(geom, "direct", 1.0)],
+                moves=MULTISWAP, budget=40,
             )
         counters = cap.snapshot["counters"]
         assert counters[obs_names.PLACEMENT_EVALS] == stats.evals
@@ -730,7 +785,7 @@ class TestFacilityStrategies:
         # the capacity prune counter is always emitted (possibly zero)
         assert counters.get(obs_names.PLACEMENT_PRUNED, 0) >= 0
         spans = cap.snapshot["spans"]
-        assert any(obs_names.FACILITY_SEARCH in key for key in spans)
+        assert any(obs_names.PLACEMENT_SEARCH in key for key in spans)
 
     def test_smoothed_restart_counter(self):
         from repro.obs import names as obs_names
@@ -740,8 +795,8 @@ class TestFacilityStrategies:
         geom = CacheGeometry(size=16 * B, block=B)
         with obs.capture(enabled=True) as cap:
             smoothed_search(
-                inst, geom, policy="direct", budget=30, restarts=2, noise=0.5,
-                seed=0,
+                inst, [(geom, "direct", 1.0)], budget=30, restarts=2,
+                noise=0.5, seed=0,
             )
         assert cap.snapshot["counters"][obs_names.PLACEMENT_RESTARTS] == 2
 
@@ -804,9 +859,9 @@ class TestEvalAccounting:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
-        _o, _g, _c, stats = swap_refine(
-            inst, list(inst.objects), geom, policy="direct", budget=50,
-            backend="serial",
+        _o, _g, _c, stats = local_search(
+            inst, list(inst.objects), [(geom, "direct", 1.0)], moves=SWAP,
+            budget=50, backend="serial",
         )
         assert stats.evals == calls["n"]
 
@@ -815,9 +870,9 @@ class TestEvalAccounting:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
-        _o, _g, _c, stats = multiswap_refine(
-            inst, list(inst.objects), geom, policy="direct", budget=50,
-            backend="serial",
+        _o, _g, _c, stats = local_search(
+            inst, list(inst.objects), [(geom, "direct", 1.0)],
+            moves=MULTISWAP, budget=50, backend="serial",
         )
         assert stats.evals == calls["n"]
 
@@ -827,7 +882,7 @@ class TestEvalAccounting:
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
         _o, _g, _c, stats = smoothed_search(
-            inst, geom, policy="direct", budget=40, restarts=2, noise=0.5,
+            inst, [(geom, "direct", 1.0)], budget=40, restarts=2, noise=0.5,
             seed=0, backend="serial",
         )
         assert stats.evals == calls["n"]
@@ -837,8 +892,60 @@ class TestEvalAccounting:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         calls = self._counting(monkeypatch)
-        _o, _g, _c, stats = swap_refine(
-            inst, list(inst.objects), geom, policy="direct", budget=50,
-            batch=8, backend="serial",
+        _o, _g, _c, stats = local_search(
+            inst, list(inst.objects), [(geom, "direct", 1.0)], moves=SWAP,
+            budget=50, batch=8, backend="serial",
         )
         assert stats.evals == calls["n"]
+
+    def test_accepted_gap_move_is_not_undone_in_the_same_sweep(self, monkeypatch):
+        # once a gap move wins, the opposite gap move on the same object is
+        # exactly the state just left — it can never strictly win, so the
+        # sweep must not spend an eval on it next
+        from repro.runtime.backend import CandidateScorer
+
+        seen = []
+        real = CandidateScorer.score_per
+
+        def recording(self, starts_list):
+            pers = real(self, starts_list)
+            seen.extend(
+                (np.array(starts), sum(w * m for (_g, _p, w), m in zip(self.targets, per)))
+                for starts, per in zip(starts_list, pers)
+            )
+            return pers
+
+        monkeypatch.setattr(CandidateScorer, "score_per", recording)
+        g, sched = small_workload()
+        inst = build_instance(g, sched, B)
+        assert (inst.nblocks > 0).all()  # so starts decode the object order
+        geom = CacheGeometry(size=32 * B, block=B)
+        targets = [
+            (geom.with_ways(1), "direct", 1.0),
+            (geom.with_ways(2), "lru", 1.0),
+            (geom.with_ways(4), "lru", 1.0),
+        ]
+        start = greedy_color_order(inst, geom.with_ways(1), policy="direct")
+        _o, gaps, _c, stats = local_search(
+            inst, start, targets, moves=MULTISWAP, budget=600, gap_budget=3
+        )
+        assert gaps and len(seen) == stats.evals
+
+        def order_of(starts):
+            return tuple(np.argsort(starts[: inst.n_objects]))
+
+        # batch=1: a candidate is accepted iff strictly cheaper than the state
+        cur, cur_cost = seen[0]
+        gap_wins = undone = 0
+        left = None
+        for starts, cost in seen[1:]:
+            if left is not None and np.array_equal(starts, left):
+                undone += 1
+            left = None
+            if cost < cur_cost:
+                if order_of(starts) == order_of(cur):  # same order: a gap move
+                    gap_wins += 1
+                    left = cur
+                cur, cur_cost = starts, cost
+        assert gap_wins > 0
+        assert undone == 0

@@ -103,7 +103,7 @@ GOLDEN = {
     ('pipeline32', 'a9', 'swap', 0, 1): ('054ff1b4b7d7', 103.0, 73, 1, (107.0, 103.0)),
     ('pipeline32', 'a9', 'swap', 3, 1): ('7f1f7d10949d', 89.0, 92, 1, (107.0, 89.0)),
     ('pipeline32', 'a9', 'multiswap', 0, 1): ('054ff1b4b7d7', 103.0, 297, 1, (107.0, 103.0)),
-    ('pipeline32', 'a9', 'multiswap', 3, 1): ('7f1f7d10949d', 89.0, 317, 1, (107.0, 89.0)),
+    ('pipeline32', 'a9', 'multiswap', 3, 1): ('7f1f7d10949d', 89.0, 316, 1, (107.0, 89.0)),
     ('pipeline32', 'a9', 'minimax', 0, 1): ('054ff1b4b7d7', 103.0, 447, 1, (107.0, 103.0, 1.0)),
     ('pipeline32', 'a9', 'minimax', 3, 1): ('7f1f7d10949d', 89.0, 460, 1, (107.0, 89.0, 1.0)),
     ('pipeline32', 'a9', 'smoothed', 0, 1): ('054ff1b4b7d7', 103.0, 594, 2, (107.0, 103.0, 107.0, 103.0)),
@@ -124,9 +124,9 @@ GOLDEN = {
     ('fm_radio', 'direct', 'minimax', 3, 1): ('6616e0f0c65b', 15030.0, 40, 1, (15038.0, 15030.0, 0.6937776957163959)),
     ('fm_radio', 'direct', 'smoothed', 0, 1): ('6616e0f0c65b', 15030.0, 40, 2, (15038.0, 15030.0, 30446.0, 20462.0)),
     ('fm_radio', 'direct', 'smoothed', 3, 1): ('6616e0f0c65b', 15030.0, 40, 2, (15038.0, 15030.0, 30446.0, 20462.0)),
-    ('pipeline8', 'a9', 'swap', 3, 4): ('482ad3c5fa6b', 627.0, 178, 5, (657.0, 649.0, 648.0, 637.0, 630.0, 627.0)),
+    ('pipeline8', 'a9', 'swap', 3, 4): ('306cea5c9034', 613.0, 126, 2, (657.0, 639.0, 613.0)),
     ('pipeline8', 'a9', 'multiswap', 3, 4): ('bb564f9a6278', 648.0, 301, 1, (657.0, 648.0)),
-    ('des', 'direct', 'swap', 3, 4): ('ebd508e85b2b', 13666.0, 40, 2, (15708.0, 15707.0, 13666.0)),
+    ('des', 'direct', 'swap', 3, 4): ('862e34104274', 12644.0, 40, 1, (15708.0, 12644.0)),
     ('des', 'direct', 'multiswap', 3, 4): ('862e34104274', 12644.0, 40, 1, (15708.0, 12644.0)),
 }
 

@@ -13,7 +13,7 @@ kernel at every chunking* is pinned per access, not per total.
 
 Also pinned here: segment-granular recompilation after cache corruption
 (one truncated ``.npz`` recompiles alone — intact segments keep their bytes
-and mtimes), the ``swap_refine`` cost trajectory under chunked candidate
+and mtimes), the ``local_search`` cost trajectory under chunked candidate
 scoring, the process chunk fan-out, and the ``chunk_words=`` threading
 through every front door (``compile_trace`` / ``simulate_trace`` /
 ``measure_compiled`` / ``run_batch`` / ``configure``).
@@ -32,7 +32,8 @@ from repro.core.baselines import interleaved_schedule, single_appearance_schedul
 from repro.errors import CacheConfigError
 from repro.graphs.apps import fm_radio
 from repro.graphs.topologies import pipeline
-from repro.mem.placement import build_instance, placement_cost, swap_refine
+from repro.mem.facility import SWAP, local_search
+from repro.mem.placement import build_instance, placement_cost
 from repro.runtime.backend import ServiceQuery, configure, run_batch
 from repro.runtime.compiled import (
     compile_trace,
@@ -581,7 +582,7 @@ class TestCarriedKernelContract:
 
 
 # ----------------------------------------------------------------------
-# placement scoring: the swap_refine trajectory is chunking-blind
+# placement scoring: the local_search trajectory is chunking-blind
 # ----------------------------------------------------------------------
 class TestChunkedPlacementScoring:
     def _workload(self):
@@ -606,11 +607,12 @@ class TestChunkedPlacementScoring:
         inst = build_instance(g, sched, B)
         geom = CacheGeometry(size=16 * B, block=B)
         start = list(inst.objects)
-        mono = swap_refine(
-            inst, start, geom, policy="direct", budget=60, batch=batch
+        target = [(geom, "direct", 1.0)]
+        mono = local_search(
+            inst, start, target, moves=SWAP, budget=60, batch=batch
         )
-        chunked = swap_refine(
-            inst, start, geom, policy="direct", budget=60, batch=batch,
+        chunked = local_search(
+            inst, start, target, moves=SWAP, budget=60, batch=batch,
             chunk_words=23,
         )
         assert chunked[0] == mono[0] and chunked[1] == mono[1]
