@@ -340,7 +340,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             )[0]
         else:
             res = measure_compiled(
-                g, measure_geom, sched, layout_order=order, policy=policy
+                g, measure_geom, sched, layout_order=order, policy=policy,
+                chunk_words=args.chunk_words,
             )
     except CacheConfigError as exc:
         # bad --ways/--l2-ways value, or a --policy/--ways combination the
@@ -476,10 +477,13 @@ def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
                           "cores); default: every core for --backend "
                           "process, serial otherwise")
     sub.add_argument("--chunk-words", type=int, default=None, metavar="N",
-                     help="replay traces through the out-of-core streaming "
-                          "engine in chunks of N accesses (bit-identical "
-                          "miss counts, bounded memory); default: the "
-                          "monolithic in-memory path")
+                     help="stream traces in chunks of N accesses "
+                          "(bit-identical miss counts): schedule compiles "
+                          "and replays through the out-of-core streaming "
+                          "engine (bounded memory), except that --layout "
+                          "replays its in-memory remapped trace in chunks; "
+                          "experiment replays its in-memory traces in "
+                          "chunks; default: the monolithic in-memory path")
     sub.add_argument("--cache-dir", default=None, metavar="PATH",
                      help="persistent compiled-trace cache directory: "
                           "identical (graph, schedule, layout, block) "

@@ -11,8 +11,10 @@ id        name                     invariant
                                    a benchmark reference (or documented exemption),
                                    and a README row
 ``R3``    hot-path-purity          the vectorized replay/compile modules never import
-                                   the stepwise oracle classes, and only replay.py
-                                   uses replay's private pass primitives
+                                   the stepwise oracle classes, only replay.py
+                                   uses replay's private pass primitives, and only
+                                   backend.ProcessPool builds a process pool or
+                                   creates a shared-memory segment
 ``R4``    dtype-contracts          hot-path numpy constructors pass explicit dtypes
                                    from the module's documented contract
 ``R5``    twin-fold-pinning        the scalar and vectorized XOR set-index folds both
@@ -112,6 +114,12 @@ _REPLAY_PRIVATE = frozenset(
     {"_direct_hit_mask", "_opt_stack_pass", "_set_segments", "_scheme_of",
      "_level_pass", "_level_mask"}
 )
+
+#: The one process pool (rule R3): only this class of backend.py may
+#: construct a process pool or create a shared-memory segment, so the pool,
+#: its shared arrays, its obs merge and its fallback cannot grow a second
+#: copy.
+_POOL_PRIMITIVE = "ProcessPool"
 
 #: Service-path modules that must stay benchmarked (rule R2): if the module
 #: exists, some ``benchmarks/bench_*.py`` must reference the named symbol —
@@ -435,7 +443,8 @@ def rule_experiment_completeness(project: Project) -> Iterator[Violation]:
     "R3",
     "hot-path-purity",
     "vectorized replay/compile modules never import the stepwise "
-    "oracle classes; replay's private pass primitives stay in replay.py",
+    "oracle classes; replay's private pass primitives stay in replay.py; "
+    "only backend.ProcessPool builds process pools and shared segments",
 )
 def rule_hot_path_purity(project: Project) -> Iterator[Violation]:
     # the two compile/replay kernels are mandatory; the service-path
@@ -499,6 +508,41 @@ def rule_hot_path_purity(project: Project) -> Iterator[Violation]:
                         f"{REPLAY_PATH}: replay through its registered "
                         f"kernels instead of writing a second one",
                     )
+
+    # one process pool: no code outside backend.ProcessPool builds a pool
+    # or publishes a shared-memory segment
+    for rel in sorted({f for pat in SRC_GLOBS for f in project.glob(pat)}):
+        try:
+            tree = project.tree(rel)
+        except (FileNotFoundError, SyntaxError):
+            continue
+        for top in tree.body:
+            if rel == BACKEND_PATH and isinstance(top, ast.ClassDef) \
+                    and top.name == _POOL_PRIMITIVE:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _creates_pool(node):
+                    yield Violation(
+                        rule="R3", path=rel, line=node.lineno,
+                        message=f"{_callee_name(node)}(...) outside "
+                        f"{BACKEND_PATH}'s ProcessPool: map over "
+                        f"ProcessPool (shared arrays, obs merge and the "
+                        f"broken-pool fallback come with it) instead of "
+                        f"building a second pool",
+                    )
+
+
+def _creates_pool(call: ast.Call) -> bool:
+    """``ProcessPoolExecutor(...)``, or ``SharedMemory(...)`` with a
+    literal true ``create`` (keyword or second positional argument)."""
+    name = _callee_name(call)
+    if name == "ProcessPoolExecutor":
+        return True
+    if name != "SharedMemory":
+        return False
+    create = [kw.value for kw in call.keywords if kw.arg == "create"]
+    create += call.args[1:2]
+    return any(isinstance(v, ast.Constant) and v.value for v in create)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,10 @@ BATCH_QUERIES = "run_batch.queries"
 BATCH_DEDUPED = "run_batch.deduped"
 #: distinct (trace, policy) replay groups per batch
 BATCH_GROUPS = "run_batch.groups"
-#: items mapped across a backend by `fan_out` / `process_sweep`
+#: items mapped across a backend by `fan_out` / `ProcessPool.map`
 BACKEND_TASKS = "backend.tasks"
-#: process-pool replays that broke (dead worker, OS error, unpicklable
-#: task) and reran in-process with the identical answer
+#: process pools that broke (dead worker, OS error, unpicklable task) and
+#: reran their tasks in-process with the identical answer (once per pool)
 BACKEND_FALLBACKS = "backend.fallbacks"
 #: candidate layouts scored by `local_search`
 PLACEMENT_EVALS = "placement.evals"

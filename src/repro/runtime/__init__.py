@@ -36,7 +36,6 @@ from repro.runtime.streaming import (
 from repro.runtime.trace_cache import (
     TraceCache,
     cached_compile_trace,
-    query_digest,
     trace_digest,
 )
 from repro.runtime.replay import (
@@ -64,7 +63,6 @@ __all__ = [
     "effective_workers",
     "fan_out",
     "geometry_sweep",
-    "query_digest",
     "run_batch",
     "trace_digest",
     "ChannelBuffer",

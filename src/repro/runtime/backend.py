@@ -22,15 +22,20 @@ evaluation in :func:`run_batch` — so this module centralizes one contract:
   at one worker — a distinct process either way, so differential tests
   exercise the real cross-process path on any machine.
 
-**Shipping traces to workers.**  A compiled trace is one or two large flat
-arrays (``int64`` block ids, ``uint8`` phase codes — often 100k+ accesses).
-Pickling them per task would dwarf the work, so :class:`SharedTrace`
-publishes them once into a :mod:`multiprocessing.shared_memory` segment and
-workers reconstruct zero-copy ``np.ndarray`` views over the mapped buffer
-(:func:`process_sweep`); per-task payloads are just geometry lists.  The
-placement scorer (:class:`CandidateScorer`) does the same with the
-remap-instance arrays (``obj_of_access``/``block_offset``): candidates ship
-as tiny per-object start vectors, never as traces.
+**One process pool.**  Every process-backend path — :func:`fan_out`, the
+geometry sweep (:func:`process_sweep`), the trace-chunk sweep
+(:func:`process_chunk_sweep`) and placement scoring
+(:class:`CandidateScorer`) — runs through :class:`ProcessPool`, which does
+each cross-process job once: it publishes the caller's named numpy arrays
+into one :mod:`multiprocessing.shared_memory` segment that workers map
+zero-copy (a 100k-access trace or remap instance is never pickled per
+task); it maps a module-level task body ``fn(item, shared)`` in input
+order; it captures each task's obs delta in the worker and merges the
+deltas in task order, so instrumented totals equal a serial run's; and
+when the pool breaks (a dead worker, an OS error, an unpicklable task) it
+reruns the tasks in-process — the same task body over the parent's own
+arrays — and counts ``backend.fallbacks`` once.  Any other worker
+exception propagates.
 
 **Batch front door.**  :func:`run_batch` answers N
 (graph, schedule, geometries, policy) queries the way a many-user service
@@ -41,10 +46,10 @@ geometry sweeps sharing a (trace, policy) pair are evaluated together so
 the replay kernels' shared passes amortize across users, and evaluation
 fans out over the selected backend.  Answers come back in query order.
 
-Geometry presets default to ``index_scheme="mod"``: BENCH_placement.json
-measured ``xor_gain`` flat at 1.0 on the paper's workloads, so the service
-path never pays the xor fold for zero gain (pass ``index_scheme="xor"``
-explicitly to get skewed indexing — see docs/REPLAY.md).
+Geometry presets default to ``index_scheme="mod"``: BENCH_placement.json's
+``xor_gain`` of 1.0 was measured on DES only — other workloads gain
+several-fold from xor folding (figures in docs/REPLAY.md) — so skewed
+indexing stays an explicit ``index_scheme="xor"`` request.
 
 Results are bit-identical across backends: the kernels are pure functions
 of ``(blocks, geometries)``, so where the map runs cannot change what it
@@ -62,6 +67,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -74,6 +80,9 @@ from repro.obs import core as obs
 from repro.obs import names as obs_names
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.shared_memory import SharedMemory
+
     from repro.cache.base import CacheGeometry
     from repro.graphs.sdf import StreamGraph
     from repro.mem.layout import ObjectKey
@@ -91,7 +100,7 @@ __all__ = [
     "configure",
     "default_chunk_words",
     "fan_out",
-    "SharedTrace",
+    "ProcessPool",
     "process_sweep",
     "process_chunk_sweep",
     "CandidateScorer",
@@ -104,8 +113,8 @@ __all__ = [
 #: The three execution backends, in "least machinery" order.
 BACKENDS = ("serial", "thread", "process")
 
-#: Service presets index sets with low block bits: BENCH_placement.json's
-#: ``xor_gain`` is flat at 1.0, so xor folding is opt-in, never default.
+#: Service presets index sets with low block bits; xor folding is opt-in
+#: (its measured gain of 1.0 holds on DES only — see the module docstring).
 DEFAULT_INDEX_SCHEME = "mod"
 
 
@@ -224,6 +233,11 @@ def _mp_context():
     return mp.get_context()  # pragma: no cover - non-fork platforms
 
 
+def _call(item: Tuple[Callable, object], _shared: Dict[str, object]) -> object:
+    fn, arg = item
+    return fn(arg)
+
+
 def fan_out(
     fn: Callable,
     items: Sequence,
@@ -234,121 +248,188 @@ def fan_out(
 
     The backend only chooses *where* each call runs; submission-order
     ``Executor.map`` (or the serial comprehension) guarantees the results
-    come back in input order.  The process backend requires ``fn`` and each
-    item to be picklable — module-level functions, not closures.
+    come back in input order.  The process backend runs on a
+    :class:`ProcessPool` (worker obs deltas merge back, a broken pool falls
+    back in-process) and requires ``fn`` and each item to be picklable —
+    module-level functions, not closures.
     """
     name, width = resolve(backend, workers, len(items))
+    if name == "process":
+        with ProcessPool(width) as pool:
+            return pool.map(_call, [(fn, it) for it in items])
     obs.add(obs_names.BACKEND_TASKS, len(items))
     obs.gauge(obs_names.BACKEND_WIDTH, width)
     with obs.span(obs_names.BACKEND_MAP, backend=name):
-        if name == "serial" or width <= 1 and name != "process":
+        if name == "serial" or width <= 1:
             return [fn(it) for it in items]
-        if name == "thread":
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                return list(pool.map(fn, items))
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=width, mp_context=_mp_context()) as pool:
+        with ThreadPoolExecutor(max_workers=width) as pool:
             return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------
-# shared-memory trace shipping
+# the process pool: shared arrays, ordered map, obs merge, one fallback
 # ----------------------------------------------------------------------
-class SharedTrace:
-    """A compiled trace published once into shared memory.
-
-    Layout: ``n * 8`` bytes of ``int64`` block ids, then (optionally) ``n``
-    bytes of ``uint8`` phase codes, in one segment.  Workers attach by name
-    and build zero-copy ``np.ndarray`` views (:func:`_attach_trace`) — the
-    arrays are never pickled, no matter how many tasks replay them.  Use as
-    a context manager; the parent unlinks the segment on exit.
-    """
-
-    def __init__(self, blocks: np.ndarray, phases: Optional[np.ndarray]) -> None:
-        from multiprocessing import shared_memory
-
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-        self.n = int(blocks.shape[0])
-        self.has_phases = phases is not None
-        nbytes = self.n * 8 + (self.n if self.has_phases else 0)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        view = np.ndarray((self.n,), dtype=np.int64, buffer=self._shm.buf)
-        view[:] = blocks
-        if phases is not None:
-            pview = np.ndarray(
-                (self.n,), dtype=np.uint8, buffer=self._shm.buf, offset=self.n * 8
-            )
-            pview[:] = np.ascontiguousarray(phases, dtype=np.uint8)
-        self.name = self._shm.name
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - double close
-            pass
-
-    def __enter__(self) -> "SharedTrace":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+#: ``(key, dtype, shape, byte offset)`` of each array in a shared segment
+ArraySpec = List[Tuple[str, str, Tuple[int, ...], int]]
 
 
-_WORKER_TRACE: Dict[str, object] = {}
+def _views(buf: memoryview, spec: ArraySpec) -> Dict[str, np.ndarray]:
+    """Zero-copy arrays over a mapped shared segment, laid out per ``spec``."""
+    return {
+        key: np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=offset)
+        for key, dtype, shape, offset in spec
+    }
 
 
-def _attach_trace(shm_name: str, n: int, has_phases: bool) -> None:
-    """Pool initializer: map the published trace into this worker, zero-copy.
+#: worker-side state of the pool this process serves: the attached segment
+#: (kept alive for the views) and the ``shared`` mapping tasks receive
+_WORKER: Dict[str, object] = {}
+
+
+def _attach(shm_name: str, spec: ArraySpec, values: Dict[str, object]) -> None:
+    """Pool initializer: map the published arrays into this worker.
 
     Workers never unlink (or unregister) the segment — its lifetime belongs
-    to the parent's :class:`SharedTrace`, which unlinks once the pool is
-    drained.  Attach-side registrations are set-idempotent in the resource
-    tracker shared by the forked children, so the parent's single unlink
-    leaves the books balanced.
+    to the parent's pool, which unlinks it on close.  Attach-side
+    registrations are set-idempotent in the resource tracker shared by the
+    forked children, so the parent's single unlink leaves the books
+    balanced.
     """
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=shm_name)
-    _WORKER_TRACE["shm"] = shm  # keep the mapping alive for the views below
-    _WORKER_TRACE["blocks"] = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-    _WORKER_TRACE["phases"] = (
-        np.ndarray((n,), dtype=np.uint8, buffer=shm.buf, offset=n * 8)
-        if has_phases
-        else None
-    )
+    _WORKER["shm"] = shm
+    _WORKER["shared"] = {**values, **_views(shm.buf, spec)}
 
 
-def _sweep_chunk(
-    task: Tuple[int, List, str, bool]
-) -> Tuple[int, List, Optional[Dict]]:
-    """Worker body: replay one geometry chunk over the attached trace.
+def _run_task(
+    task: Tuple[Callable, object, bool]
+) -> Tuple[object, Optional[Dict]]:
+    """Worker body of every pool task: ``fn(item, shared)``, inside an
+    isolated obs capture when the parent is instrumented, so the task's
+    metric/span delta rides back with its result for the parent to merge."""
+    fn, item, want_obs = task
+    shared = _WORKER["shared"]
+    if not want_obs:
+        return fn(item, shared), None
+    with obs.capture(enabled=True) as cap:
+        out = fn(item, shared)
+    return out, cap.snapshot
 
-    Returns per-geometry ``(misses, phase_bincount-or-None)`` — the reduced
-    statistics, never the per-access masks, so nothing big crosses back.
-    When the parent had instrumentation enabled (``want_obs``), the chunk
-    runs inside an isolated :class:`repro.obs.core.capture` scope and its
-    metric/span delta rides back as the third element for the parent to
-    merge — that is how spans aggregate across the process backend.
+
+class ProcessPool:
+    """The one process pool: an ordered ``map`` of a module-level task body
+    ``fn(item, shared) -> result`` over worker processes.
+
+    ``shared`` maps names to the data every task reads.  Its numpy arrays
+    are published once into one shared-memory segment (each at an 8-byte
+    aligned offset, dtype and shape kept) that every worker maps zero-copy,
+    so they are never pickled no matter how many tasks read them; any other
+    value is pickled once into the worker initializer.  Workers and segment
+    start on the first non-empty :meth:`map` and live until :meth:`close`
+    (or the ``with`` block ends), so a caller mapping many small batches —
+    the placement scorer — pays the startup once.
+
+    Each :meth:`map` returns results in item order, counts
+    ``backend.tasks``, spans ``backend.map``, merges the workers' obs
+    deltas in item order and then gauges ``backend.width``.  If the pool
+    breaks (``BrokenProcessPool``, ``OSError``, ``pickle.PicklingError``)
+    the tasks rerun in-process as ``fn(item, shared)`` over the parent's
+    own data — bit-identical, since task bodies are pure — and
+    ``backend.fallbacks`` is counted once; every later map of a broken
+    pool runs in-process too.  Any other exception a task raises
+    propagates.
     """
-    from repro.runtime.replay import _mask_stats, replay_miss_masks
 
-    chunk_index, geometries, policy, want_obs = task
-    blocks = _WORKER_TRACE["blocks"]
-    phases = _WORKER_TRACE["phases"]
+    def __init__(
+        self, width: int, shared: Optional[Mapping[str, object]] = None
+    ) -> None:
+        self.width = width
+        self._shared: Dict[str, object] = dict(shared or {})
+        self._shm: Optional["SharedMemory"] = None
+        self._executor: Optional["ProcessPoolExecutor"] = None
+        self._broken = False
 
-    def _stats() -> List[Tuple[int, Optional[List[int]]]]:
-        masks = replay_miss_masks(blocks, geometries, policy=policy)  # type: ignore[arg-type]
-        return _mask_stats(masks, phases)  # type: ignore[arg-type]
+    def _start(self) -> "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import shared_memory
 
-    if want_obs:
-        with obs.capture(enabled=True) as cap:
-            out = _stats()
-        return chunk_index, out, cap.snapshot
-    return chunk_index, _stats(), None
+        arrays = {
+            k: np.ascontiguousarray(v)
+            for k, v in self._shared.items()
+            if isinstance(v, np.ndarray)
+        }
+        values = {k: v for k, v in self._shared.items() if k not in arrays}
+        spec: ArraySpec = []
+        size = 0
+        for key, arr in arrays.items():
+            spec.append((key, arr.dtype.str, tuple(arr.shape), size))
+            size += -(-arr.nbytes // 8) * 8
+        self._shm = shared_memory.SharedMemory(create=True, size=max(1, size))
+        for key, view in _views(self._shm.buf, spec).items():
+            view[...] = arrays[key]
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.width,
+            mp_context=_mp_context(),
+            initializer=_attach,
+            initargs=(self._shm.name, spec, values),
+        )
+        return self._executor
+
+    def _remote(
+        self, fn: Callable, items: List
+    ) -> Optional[List[Tuple[object, Optional[Dict]]]]:
+        """Run the tasks on the workers; ``None`` once the pool is broken."""
+        import pickle
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self._broken:
+            return None
+        want_obs = obs.is_enabled()
+        try:
+            executor = self._executor or self._start()
+            tasks = [(fn, item, want_obs) for item in items]
+            return list(executor.map(_run_task, tasks))
+        except (BrokenProcessPool, OSError, pickle.PicklingError):
+            self._broken = True
+            obs.add(obs_names.BACKEND_FALLBACKS)
+            self.close()
+            return None
+
+    def map(self, fn: Callable, items: Sequence) -> List:
+        items = list(items)
+        obs.add(obs_names.BACKEND_TASKS, len(items))
+        with obs.span(obs_names.BACKEND_MAP, backend="process"):
+            done = self._remote(fn, items) if items else None
+            if done is None:
+                out = [fn(item, self._shared) for item in items]
+            else:
+                out = []
+                for result, snap in done:
+                    out.append(result)
+                    if snap is not None:
+                        obs.merge(snap)
+        # gauged after the merge, so the workers' own inner (serial) sizing
+        # decisions do not overwrite the pool's width
+        obs.gauge(obs_names.BACKEND_WIDTH, self.width)
+        return out
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+        if self._shm is not None:
+            self._shm.close()
+            self._shm.unlink()
+            self._shm = None
+
+    def __enter__(self) -> "ProcessPool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
 
 def _chunk_slices(n_items: int, width: int) -> List[Tuple[int, int]]:
@@ -360,6 +441,21 @@ def _chunk_slices(n_items: int, width: int) -> List[Tuple[int, int]]:
         for i in range(n_chunks)
         if bounds[i] < bounds[i + 1]
     ]
+
+
+def _sweep_geometries(
+    task: Tuple[List, str], shared: Dict[str, object]
+) -> List[Tuple[int, Optional[List[int]]]]:
+    """Task body: replay one geometry chunk over the shared trace.
+
+    Returns per-geometry ``(misses, phase_bincount-or-None)`` — the reduced
+    statistics, never the per-access masks, so nothing big crosses back.
+    """
+    from repro.runtime.replay import _mask_stats, replay_miss_masks
+
+    geometries, policy = task
+    masks = replay_miss_masks(shared["blocks"], geometries, policy=policy)  # type: ignore[arg-type]
+    return _mask_stats(masks, shared["phases"])  # type: ignore[arg-type]
 
 
 def process_sweep(
@@ -376,50 +472,21 @@ def process_sweep(
     geometry order.  Bit-identical to the in-process replay: the kernels
     are deterministic functions of ``(blocks, geometries)``.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     slices = _chunk_slices(len(geometries), workers)
-    want_obs = obs.is_enabled()
-    tasks = [
-        (i, list(geometries[lo:hi]), policy, want_obs)
-        for i, (lo, hi) in enumerate(slices)
-    ]
-    obs.add(obs_names.BACKEND_TASKS, len(tasks))
-    out: List[Optional[List]] = [None] * len(slices)
-    snaps: List[Optional[Dict]] = [None] * len(slices)
-    with obs.span(obs_names.BACKEND_MAP, backend="process"):
-        with SharedTrace(blocks, phases) as shared:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(slices)),
-                mp_context=_mp_context(),
-                initializer=_attach_trace,
-                initargs=(shared.name, shared.n, shared.has_phases),
-            ) as pool:
-                for chunk_index, stats, snap in pool.map(_sweep_chunk, tasks):
-                    out[chunk_index] = stats
-                    snaps[chunk_index] = snap
-    # merge worker deltas in chunk order: the merged totals then equal
-    # what one serial call over the full geometry list would have recorded;
-    # the pool width is gauged after the merge so the workers' own inner
-    # (serial) sizing decisions do not overwrite it
-    for snap in snaps:
-        if snap is not None:
-            obs.merge(snap)
-    obs.gauge(obs_names.BACKEND_WIDTH, min(workers, len(slices)))
-    flat: List[Tuple[int, Optional[List[int]]]] = []
-    for stats in out:
-        assert stats is not None
-        flat.extend(stats)
-    return flat
+    tasks = [(list(geometries[lo:hi]), policy) for lo, hi in slices]
+    shared = {"blocks": blocks, "phases": phases}
+    with ProcessPool(len(slices), shared) as pool:
+        parts = pool.map(_sweep_geometries, tasks)
+    return [stat for part in parts for stat in part]
 
 
-def _stream_chunk_worker(
-    task: Tuple[str, np.ndarray, List, bool, bool]
-) -> Tuple[List[Tuple[int, Optional[List[int]]]], Optional[Dict]]:
-    """Worker body: replay ONE trace chunk (all geometries) under its carry.
+def _sweep_segment(
+    task: Tuple[str, np.ndarray, List, bool], _shared: Dict[str, object]
+) -> List[Tuple[int, Optional[List[int]]]]:
+    """Task body: replay ONE trace chunk (all geometries) under its carry.
 
     The parent computed the chunk's recency carry (cheap, sequential) and
-    ships it with the segment path; the worker loads the segment arrays
+    ships it with the segment path; the task loads the segment arrays
     straight off disk — the cache's documented one-``.npz``-per-key layout —
     runs the lru/direct kernel's step on them, and returns reduced
     ``(misses, phase_bincount)`` per geometry, exactly the per-chunk terms
@@ -427,23 +494,15 @@ def _stream_chunk_worker(
     """
     from repro.runtime.replay import _mask_stats, _recency_step
 
-    path, carry, geometries, direct, want_obs = task
-
-    def _stats() -> List[Tuple[int, Optional[List[int]]]]:
-        with np.load(path, allow_pickle=False) as data:
-            blocks = np.asarray(data["blocks"], dtype=np.int64)
-            phases = (
-                np.asarray(data["phases"], dtype=np.uint8)
-                if "phases" in data.files
-                else None
-            )
-        return _mask_stats(_recency_step(blocks, carry, geometries, direct), phases)
-
-    if want_obs:
-        with obs.capture(enabled=True) as cap:
-            stats = _stats()
-        return stats, cap.snapshot
-    return _stats(), None
+    path, carry, geometries, direct = task
+    with np.load(path, allow_pickle=False) as data:
+        blocks = np.asarray(data["blocks"], dtype=np.int64)
+        phases = (
+            np.asarray(data["phases"], dtype=np.uint8)
+            if "phases" in data.files
+            else None
+        )
+    return _mask_stats(_recency_step(blocks, carry, geometries, direct), phases)
 
 
 def process_chunk_sweep(
@@ -462,94 +521,43 @@ def process_chunk_sweep(
     the expensive distance passes (the lru/direct kernel's step).  Only
     lru/direct fan out this way — OPT and two-level carry kernel state
     *through* the chunks, which serializes them.  Per-chunk stats are
-    summed in chunk order, and worker obs deltas merge in chunk order too,
-    so totals are bit-identical to the sequential kernel.
+    summed in chunk order, so totals are bit-identical to the sequential
+    kernel.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.runtime.replay import _add_stats, _recency_carries, _recency_direct
     from repro.runtime.streaming import ChunkedTrace
 
     assert isinstance(trace, ChunkedTrace)
     geoms = list(geometries)
     direct = _recency_direct(geoms, policy)  # a bad geometry fails in the parent
-    want_obs = obs.is_enabled()
     tasks = [
-        (str(trace.segment_path(i)), carry, geoms, direct, want_obs)
+        (str(trace.segment_path(i)), carry, geoms, direct)
         for i, (_blocks, _phases, carry) in enumerate(_recency_carries(trace))
     ]
-    width = min(workers, max(1, len(tasks)))
-    obs.add(obs_names.BACKEND_TASKS, len(tasks))
+    with ProcessPool(min(workers, max(1, len(tasks)))) as pool:
+        parts = pool.map(_sweep_segment, tasks)
     stats: List[Tuple[int, Optional[List[int]]]] = [(0, None)] * len(geoms)
-    with obs.span(obs_names.BACKEND_MAP, backend="process"):
-        with ProcessPoolExecutor(
-            max_workers=width, mp_context=_mp_context()
-        ) as pool:
-            # pool.map yields in chunk order: stats sum and worker deltas
-            # merge exactly as the sequential kernel would record them
-            for part, snap in pool.map(_stream_chunk_worker, tasks):
-                stats = _add_stats(stats, part)
-                if snap is not None:
-                    obs.merge(snap)
-    obs.gauge(obs_names.BACKEND_WIDTH, width)
+    for part in parts:
+        stats = _add_stats(stats, part)
     return stats
 
 
 # ----------------------------------------------------------------------
 # placement candidate scoring
 # ----------------------------------------------------------------------
-_SCORER_STATE: Dict[str, object] = {}
+def _score_candidate(starts: np.ndarray, shared: Dict[str, object]) -> List[int]:
+    """Task body: per-target miss counts of one candidate's start vector.
 
-
-def _attach_scorer(
-    shm_name: str,
-    n: int,
-    targets: List[Tuple["CacheGeometry", str, float]],
-    want_obs: bool,
-    chunk_words: Optional[int] = None,
-) -> None:
-    """Pool initializer: map the remap-instance arrays; keep targets local."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _SCORER_STATE["shm"] = shm
-    _SCORER_STATE["obj"] = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-    _SCORER_STATE["off"] = np.ndarray(
-        (n,), dtype=np.int64, buffer=shm.buf, offset=n * 8
-    )
-    _SCORER_STATE["targets"] = targets
-    _SCORER_STATE["obs"] = want_obs
-    _SCORER_STATE["chunk_words"] = chunk_words
-
-
-def _score_candidate_remote(
-    task: Tuple[int, np.ndarray]
-) -> Tuple[int, List[int], Optional[Dict]]:
-    """Worker body: per-target miss counts of one candidate's start vector.
-
-    Returns the raw per-target counts (the parent folds them into whatever
-    objective the search runs — weighted sum, worst-case ratio) and ships
-    the candidate's obs delta back when the parent had instrumentation
-    enabled at pool construction.
+    Returns the raw per-target counts (the caller folds them into whatever
+    objective the search runs — weighted sum, worst-case ratio).  Serial
+    scoring calls it directly; process scoring maps it over the pool.
     """
     from repro.mem.placement import _target_misses
 
-    index, starts = task
-    obj = _SCORER_STATE["obj"]
-    off = _SCORER_STATE["off"]
-    targets = _SCORER_STATE["targets"]
-
-    def _per() -> List[int]:
-        blocks = starts[obj] + off
-        return _target_misses(
-            blocks, targets, chunk_words=_SCORER_STATE.get("chunk_words")  # type: ignore[arg-type]
-        )
-
-    if _SCORER_STATE.get("obs"):
-        with obs.capture(enabled=True) as cap:
-            per = _per()
-        return index, per, cap.snapshot
-    return index, _per(), None
+    blocks = starts[shared["obj"]] + shared["off"]  # type: ignore[index]
+    return _target_misses(
+        blocks, shared["targets"], chunk_words=shared["chunk_words"]  # type: ignore[arg-type]
+    )
 
 
 class CandidateScorer:
@@ -557,12 +565,14 @@ class CandidateScorer:
     exact remap cost model, optionally across a process pool.
 
     The instance's ``obj_of_access``/``block_offset`` arrays (one entry per
-    trace access — the big data) are published to shared memory once at
-    construction; each candidate ships as its ``starts`` vector (one entry
-    per object — tiny).  Serial and process scoring are bit-identical, so a
-    search driven by this scorer takes the same trajectory on every
-    backend; only wall-time changes.  Use as a context manager or call
-    :meth:`close` — the pool and segment live until then.
+    trace access — the big data) are published to shared memory once, on
+    the first process-backend score; each candidate ships as its
+    ``starts`` vector (one entry per object — tiny).  Serial and process
+    scoring run the same task body and are bit-identical, so a search
+    driven by this scorer takes the same trajectory on every backend —
+    also when the pool breaks and scoring falls back in-process; only
+    wall-time changes.  Use as a context manager or call :meth:`close` —
+    the pool and segment live until then.
 
     ``evals`` counts every candidate ever scored through this scorer —
     :meth:`score_per` increments it by the number of candidates it
@@ -585,29 +595,14 @@ class CandidateScorer:
         self.chunk_words = chunk_words
         #: candidates scored so far (every backend, every score call)
         self.evals = 0
+        self._shared: Dict[str, object] = {
+            "obj": instance.obj_of_access,
+            "off": instance.block_offset,
+            "targets": self.targets,
+            "chunk_words": chunk_words,
+        }
         name, width = resolve(backend, workers, os.cpu_count() or 1)
-        self._pool = None
-        if name == "process":
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import shared_memory
-
-            obj = np.ascontiguousarray(instance.obj_of_access, dtype=np.int64)
-            off = np.ascontiguousarray(instance.block_offset, dtype=np.int64)
-            n = int(obj.shape[0])
-            shm = shared_memory.SharedMemory(create=True, size=max(1, n * 16))
-            np.ndarray((n,), dtype=np.int64, buffer=shm.buf)[:] = obj
-            np.ndarray((n,), dtype=np.int64, buffer=shm.buf, offset=n * 8)[:] = off
-            self._shm = shm
-            self._pool = ProcessPoolExecutor(
-                max_workers=width,
-                mp_context=_mp_context(),
-                initializer=_attach_scorer,
-                # obs state is frozen at pool construction: enable
-                # instrumentation before building the scorer
-                initargs=(shm.name, n, self.targets, obs.is_enabled(), chunk_words),
-            )
-        else:
-            self._shm = None
+        self._pool = ProcessPool(width, self._shared) if name == "process" else None
 
     def score_per(self, starts_list: Sequence[np.ndarray]) -> List[List[int]]:
         """Per-target miss counts, one list per candidate, in candidate
@@ -615,37 +610,13 @@ class CandidateScorer:
         worst-case ratio).  Counts toward :attr:`evals`."""
         self.evals += len(starts_list)
         if self._pool is None:
-            from repro.mem.placement import _target_misses
-
-            return [
-                _target_misses(
-                    starts[self.instance.obj_of_access] + self.instance.block_offset,
-                    self.targets, chunk_words=self.chunk_words,
-                )
-                for starts in starts_list
-            ]
-        tasks = [(i, starts) for i, starts in enumerate(starts_list)]
-        out_arr: List[List[int]] = [[] for _ in tasks]
-        with obs.span(obs_names.BACKEND_MAP, backend="process"):
-            # pool.map yields in submission order, so worker deltas merge
-            # deterministically — same totals as the serial score path
-            for i, per, snap in self._pool.map(_score_candidate_remote, tasks):
-                out_arr[i] = per
-                if snap is not None:
-                    obs.merge(snap)
-        return out_arr
+            return [_score_candidate(s, self._shared) for s in starts_list]
+        return self._pool.map(_score_candidate, starts_list)
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.close()
             self._pool = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-            self._shm = None
 
     def __enter__(self) -> "CandidateScorer":
         return self
@@ -665,8 +636,8 @@ def geometry_sweep(
 ) -> List["CacheGeometry"]:
     """Service preset: one :class:`~repro.cache.base.CacheGeometry` per
     capacity, mod-indexed unless ``index_scheme="xor"`` is requested
-    explicitly (the measured xor gain on the paper's workloads is 1.0 —
-    see docs/REPLAY.md)."""
+    explicitly (the measured xor gain of 1.0 holds on DES only; other
+    workloads gain several-fold — see docs/REPLAY.md)."""
     from repro.cache.base import CacheGeometry
 
     return [

@@ -629,9 +629,10 @@ def simulate_trace(
     On the process backend a whole in-memory trace fans its geometries out
     (:func:`~repro.runtime.backend.process_sweep`) and a
     :class:`~repro.runtime.streaming.ChunkedTrace` under lru/direct fans
-    its chunks out (:func:`~repro.runtime.backend.process_chunk_sweep`); a
-    pool that breaks (dead worker, OS error, unpicklable task) reruns the
-    replay in-process, counted under ``backend.fallbacks``.
+    its chunks out (:func:`~repro.runtime.backend.process_chunk_sweep`),
+    both on the one :class:`~repro.runtime.backend.ProcessPool`: a pool
+    that breaks (dead worker, OS error, unpicklable task) reruns its tasks
+    in-process, counted under ``backend.fallbacks``.
     """
     from repro.cache.policy import get_policy
     from repro.runtime.backend import (
@@ -667,19 +668,13 @@ def simulate_trace(
     name, width = resolve(
         backend, workers, source.n_chunks if fan_chunks else len(geometries)
     )
-    stats: Optional[List[Tuple[int, Optional[List[int]]]]] = None
+    stats: List[Tuple[int, Optional[List[int]]]]
     if name == "process" and geometries and source.accesses and (fan_chunks or not streamed):
-        import pickle
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            if isinstance(trace, ChunkedTrace):
-                stats = process_chunk_sweep(trace, geometries, policy, width)
-            else:
-                stats = process_sweep(trace.blocks, trace.phases, geometries, policy, width)
-        except (BrokenProcessPool, OSError, pickle.PicklingError):
-            obs.add(obs_names.BACKEND_FALLBACKS)
-    if stats is None:
+        if isinstance(trace, ChunkedTrace):
+            stats = process_chunk_sweep(trace, geometries, policy, width)
+        else:
+            stats = process_sweep(trace.blocks, trace.phases, geometries, policy, width)
+    else:
         stats = _replay_stats(
             source, geometries, policy,
             workers=width if name == "thread" else None, streamed=streamed,

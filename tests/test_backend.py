@@ -37,8 +37,8 @@ from repro.runtime.backend import (
     BACKENDS,
     DEFAULT_INDEX_SCHEME,
     CandidateScorer,
+    ProcessPool,
     ServiceQuery,
-    SharedTrace,
     configure,
     effective_workers,
     fan_out,
@@ -65,6 +65,27 @@ def _slow_echo(item):
     index, delay = item
     time.sleep(delay)
     return index
+
+
+def _counted_square(x):
+    from repro import obs
+    from repro.obs import names as obs_names
+
+    obs.add(obs_names.REPLAY_GEOMETRIES, x)
+    return x * x
+
+
+def _shared_copy(key, shared):
+    """Pool task: a private copy of one shared value, and whether the
+    worker saw it as a zero-copy view (``None`` for non-array values)."""
+    value = shared[key]
+    if value is None:
+        return None, None
+    return np.array(value), not value.flags.owndata
+
+
+def _segment_name(_item, _shared):
+    return backend_mod._WORKER["shm"].name
 
 
 @pytest.fixture(scope="module")
@@ -167,42 +188,50 @@ class TestFanOutOrdering:
     def test_thread_workers_none_is_serial(self):
         assert fan_out(_square, [1, 2, 3], backend="thread", workers=None) == [1, 4, 9]
 
+    def test_process_merges_worker_counters(self):
+        from repro import obs
+        from repro.obs import names as obs_names
+
+        with obs.capture(enabled=True) as cap:
+            out = fan_out(_counted_square, [1, 2, 3], backend="process", workers=2)
+        assert out == [1, 4, 9]
+        assert cap.snapshot["counters"][obs_names.REPLAY_GEOMETRIES] == 6
+
 
 # ----------------------------------------------------------------------
 # shared-memory trace shipping
 # ----------------------------------------------------------------------
 class TestSharedTrace:
-    def test_roundtrip_blocks_and_phases(self):
-        from multiprocessing import shared_memory
+    """The pool's shared-memory publishing, read back in a real worker."""
 
+    def test_roundtrip_blocks_and_phases(self):
         rng = np.random.default_rng(7)
         blocks = rng.integers(0, 50, size=257).astype(np.int64)
         phases = rng.integers(0, 4, size=257).astype(np.uint8)
-        with SharedTrace(blocks, phases) as shared:
-            assert shared.n == 257 and shared.has_phases
-            shm = shared_memory.SharedMemory(name=shared.name)
-            try:
-                view_b = np.ndarray((257,), dtype=np.int64, buffer=shm.buf)
-                view_p = np.ndarray(
-                    (257,), dtype=np.uint8, buffer=shm.buf, offset=257 * 8
-                )
-                assert np.array_equal(view_b, blocks)
-                assert np.array_equal(view_p, phases)
-                del view_b, view_p
-            finally:
-                shm.close()
+        with ProcessPool(1, {"blocks": blocks, "phases": phases}) as pool:
+            (got_b, view_b), (got_p, view_p) = pool.map(
+                _shared_copy, ["blocks", "phases"]
+            )
+        assert view_b and view_p  # zero-copy views, not pickled copies
+        assert got_b.dtype == np.int64 and got_p.dtype == np.uint8
+        assert np.array_equal(got_b, blocks)
+        assert np.array_equal(got_p, phases)
 
     def test_unlinked_on_exit(self):
         from multiprocessing import shared_memory
 
-        with SharedTrace(np.arange(4, dtype=np.int64), None) as shared:
-            name = shared.name
+        with ProcessPool(1, {"blocks": np.arange(4, dtype=np.int64)}) as pool:
+            (name,) = pool.map(_segment_name, [0])
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
     def test_empty_trace_is_legal(self):
-        with SharedTrace(np.zeros(0, dtype=np.int64), None) as shared:
-            assert shared.n == 0 and not shared.has_phases
+        shared = {"blocks": np.zeros(0, dtype=np.int64), "phases": None}
+        with ProcessPool(1, shared) as pool:
+            (blocks, _view), (phases, _none) = pool.map(
+                _shared_copy, ["blocks", "phases"]
+            )
+        assert blocks.shape == (0,) and phases is None
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +385,32 @@ class TestCandidateScorer:
         assert p_gaps == s_gaps
         assert p_cost == s_cost
         assert p_evals == s_evals
+
+    def test_dead_workers_fall_back_to_the_serial_trajectory(
+        self, instance, targets, monkeypatch
+    ):
+        from repro import obs
+        from repro.mem import placement as placement_mod
+        from repro.obs import names as obs_names
+
+        order = list(instance.objects)
+        kw = dict(moves=SWAP, budget=40, batch=2)
+        serial = local_search(instance, order, targets, backend="serial", **kw)
+        parent = os.getpid()
+        real = placement_mod._target_misses
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(placement_mod, "_target_misses", dying)
+        with obs.capture(enabled=True) as cap:
+            proc = local_search(
+                instance, order, targets, backend="process", workers=2, **kw
+            )
+        assert proc == serial
+        assert cap.snapshot["counters"][obs_names.BACKEND_FALLBACKS] == 1
 
     def test_batched_search_never_worse_than_seed(self, instance, targets):
         order = list(instance.objects)

@@ -39,6 +39,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "misses" in out
 
+    def test_schedule_chunk_words_streams_the_compile(self, tmp_path, capsys):
+        import json
+
+        from repro.runtime.backend import configure
+
+        # the flag installs a process-wide default: restore it afterwards
+        previous = configure()
+        configure(*previous)
+        runs = {}
+        try:
+            for extra in ([], ["--chunk-words", "4096"]):
+                out = tmp_path / f"run{len(extra)}.json"
+                assert main([
+                    "schedule", "fm_radio", "--cache", "256", "--inputs", "256",
+                    "--metrics-out", str(out), *extra,
+                ]) == 0
+                result = [
+                    line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("result")
+                ]
+                runs[bool(extra)] = (result, json.loads(out.read_text())["metrics"])
+        finally:
+            configure(*previous)
+        (plain_result, plain), (chunked_result, chunked) = runs[False], runs[True]
+        assert "stream.compile" in chunked["spans"]
+        assert "stream.compile" not in plain["spans"]
+        assert chunked["counters"]["stream.spilled_bytes"] > 0
+        assert chunked_result == plain_result
+        assert chunked["counters"]["replay.misses"] == plain["counters"]["replay.misses"]
+
     def test_schedule_dag(self, capsys):
         assert main(["schedule", "mp3_subband", "--cache", "256", "--inputs", "128"]) == 0
         assert "misses" in capsys.readouterr().out

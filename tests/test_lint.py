@@ -733,3 +733,60 @@ class TestR3ReplayPrivatePrimitives:
             "from repro.runtime.replay import recency_carry, stream_stats\n"
         )
         assert _violations(files, ["R3"]) == []
+
+
+class TestR3OneProcessPool:
+    """Only backend.ProcessPool builds process pools and shared segments."""
+
+    _POOL = (
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from multiprocessing import shared_memory\n"
+        "class ProcessPool:\n"
+        "    def _start(self):\n"
+        "        self._shm = shared_memory.SharedMemory(create=True, size=8)\n"
+        "        self._executor = ProcessPoolExecutor(max_workers=2)\n"
+    )
+
+    def _files(self, backend=_POOL, **extra):
+        files = {
+            "src/repro/runtime/replay.py": "",
+            "src/repro/runtime/compiled.py": "",
+            "src/repro/runtime/backend.py": backend,
+        }
+        files.update(extra)
+        return files
+
+    def test_the_pool_primitive_is_clean(self):
+        assert _violations(self._files(), ["R3"]) == []
+
+    def test_attaching_a_segment_is_clean(self):
+        files = self._files(**{
+            "src/repro/mem/facility.py": (
+                "from multiprocessing import shared_memory\n"
+                "shm = shared_memory.SharedMemory(name='seg')\n"
+                "shm = shared_memory.SharedMemory('seg', False)\n"
+            ),
+        })
+        assert _violations(files, ["R3"]) == []
+
+    def test_second_pool_in_another_module_fires(self):
+        files = self._files(**{
+            "src/repro/mem/facility.py": (
+                "import concurrent.futures\n"
+                "def score():\n"
+                "    return concurrent.futures.ProcessPoolExecutor(2)\n"
+            ),
+        })
+        (v,) = _violations(files, ["R3"])
+        assert (v.path, v.line) == ("src/repro/mem/facility.py", 3)
+        assert "ProcessPoolExecutor" in v.message
+
+    def test_publisher_outside_the_primitive_fires(self):
+        backend = self._POOL + (
+            "def process_sweep(blocks):\n"
+            "    return shared_memory.SharedMemory(None, True, 8)\n"
+        )
+        (v,) = _violations(self._files(backend=backend), ["R3"])
+        assert (v.path, v.line) == ("src/repro/runtime/backend.py", 8)
+        assert "SharedMemory" in v.message
+

@@ -29,10 +29,8 @@ from repro.runtime.schedule import Schedule
 from repro.runtime.trace_cache import (
     TraceCache,
     cached_compile_trace,
-    query_digest,
     trace_digest,
 )
-from repro.cache.base import CacheGeometry
 
 B = 8
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -157,30 +155,6 @@ class TestDigestSensitivity:
         assert trace_digest(g, sched, B, placement=objs, gaps=a) == trace_digest(
             g, sched, B, placement=objs, gaps=b
         )
-
-
-class TestQueryDigest:
-    def test_ways_change_where_it_matters(self, workload):
-        # the *trace* key ignores geometry; the *query* key must not —
-        # a ways change reorganizes the cache and changes the misses
-        g, sched = workload
-        key = trace_digest(g, sched, B)
-        full = [CacheGeometry(size=256, block=B)]
-        assoc = [CacheGeometry(size=256, block=B, ways=4)]
-        xor = [CacheGeometry(size=256, block=B, ways=4, index_scheme="xor")]
-        assert len({
-            query_digest(key, full, "lru"),
-            query_digest(key, assoc, "lru"),
-            query_digest(key, xor, "lru"),
-            query_digest(key, full, "opt"),
-        }) == 4
-
-    def test_stable_and_order_sensitive(self, workload):
-        g, sched = workload
-        key = trace_digest(g, sched, B)
-        grid = [CacheGeometry(size=s, block=B) for s in (64, 128)]
-        assert query_digest(key, grid, "lru") == query_digest(key, grid, "lru")
-        assert query_digest(key, grid, "lru") != query_digest(key, grid[::-1], "lru")
 
 
 # ----------------------------------------------------------------------
